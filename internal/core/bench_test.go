@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -84,6 +85,32 @@ func benchGenerateModel(b *testing.B) *Model {
 		b.Fatal(err)
 	}
 	return m
+}
+
+// BenchmarkDecode100k is the CI-gated decode hot loop: 100k
+// Encoder.Decode calls per op over BN vectors pre-drawn from the
+// benchGenerateModel model, so only the segment decode is timed — the
+// layer perfbench reports as mining.decode. Steady state must be
+// 0 allocs/op (gated strictly by scripts/check_bench.sh).
+func BenchmarkDecode100k(b *testing.B) {
+	m := benchGenerateModel(b)
+	enc := m.Encoder()
+	s := m.Net.NewSampler()
+	rng := rand.New(rand.NewSource(1))
+	cols := len(m.Segments)
+	flat := make([]int, 100_000*cols)
+	for i := 0; i < 100_000; i++ {
+		s.SampleInto(rng, flat[i*cols:(i+1)*cols])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 100_000; j++ {
+			if _, err := enc.Decode(flat[j*cols:(j+1)*cols], rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 func benchmarkGenerate(b *testing.B, n, workers int) {

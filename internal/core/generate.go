@@ -622,9 +622,8 @@ func (m *Model) EncodeWindow(addrs []ip6.Addr) *WindowEncoding {
 	flat := make([]int, len(addrs)*cols)
 	for ai, a := range addrs {
 		vec := flat[ai*cols : (ai+1)*cols : (ai+1)*cols]
-		n := a.Nybbles()
 		for i, sm := range m.Segments {
-			idx, covered := c.EncodeValue(i, n.Field(sm.Seg.Start, sm.Seg.Width))
+			idx, covered := c.EncodeValue(i, a.Field(sm.Seg.Start, sm.Seg.Width))
 			if covered {
 				w.WithinLogDensity -= c.LogWidth(i, idx)
 			} else {

@@ -11,6 +11,7 @@
 package ip6
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -46,20 +47,14 @@ func AddrFrom16(b [16]byte) Addr { return Addr(b) }
 // AddrFromUint64s builds an address from its high and low 64-bit halves.
 func AddrFromUint64s(hi, lo uint64) Addr {
 	var a Addr
-	for i := 0; i < 8; i++ {
-		a[i] = byte(hi >> (56 - 8*i))
-		a[8+i] = byte(lo >> (56 - 8*i))
-	}
+	binary.BigEndian.PutUint64(a[:8], hi)
+	binary.BigEndian.PutUint64(a[8:], lo)
 	return a
 }
 
 // Uint64s returns the high and low 64-bit halves of the address.
 func (a Addr) Uint64s() (hi, lo uint64) {
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(a[i])
-		lo = lo<<8 | uint64(a[8+i])
-	}
-	return hi, lo
+	return binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
 }
 
 // Bytes returns the 16-byte representation of the address.
@@ -139,44 +134,45 @@ func (n Nybbles) String() string {
 	return string(n.Append(b[:0]))
 }
 
-// Field extracts nybbles [start, start+width) as an unsigned integer, most
-// significant nybble first. Width must be between 0 and 16; wider fields do
-// not fit in a uint64 and cause a panic, which matches the segmentation
-// invariant that no segment crosses the 64-bit boundary.
-func (n Nybbles) Field(start, width int) uint64 {
-	if width < 0 || width > 16 || start < 0 || start+width > NybbleCount {
-		panic(fmt.Sprintf("ip6: invalid nybble field [%d,%d)", start, start+width))
-	}
-	var v uint64
-	for i := start; i < start+width; i++ {
-		v = v<<4 | uint64(n[i]&0x0f)
-	}
-	return v
-}
-
-// SetField writes the width lowest nybbles of v into nybbles
-// [start, start+width), most significant first, and returns the result.
-func (n Nybbles) SetField(start, width int, v uint64) Nybbles {
-	if width < 0 || width > 16 || start < 0 || start+width > NybbleCount {
-		panic(fmt.Sprintf("ip6: invalid nybble field [%d,%d)", start, start+width))
-	}
-	for i := width - 1; i >= 0; i-- {
-		n[start+i] = byte(v & 0x0f)
-		v >>= 4
-	}
-	return n
-}
-
 // Field extracts nybbles [start, start+width) of the address as an
-// unsigned integer. See Nybbles.Field for constraints.
+// unsigned integer, most significant nybble first. Width must be between
+// 0 and 16 (a wider field does not fit in a uint64) and the field must lie
+// within the address; anything else panics. The field may straddle bit 64:
+// the address is read as one 128-bit word and shifted, so a segment that
+// spans both halves costs the same as one that does not.
 func (a Addr) Field(start, width int) uint64 {
-	return a.Nybbles().Field(start, width)
+	shift, mask := fieldShift(start, width)
+	hi, lo := a.Uint64s()
+	return (lo>>shift | hi<<(64-shift) | hi>>(shift-64)) & mask
 }
 
 // SetField writes the width lowest nybbles of v into the address at nybble
-// positions [start, start+width) and returns the result.
+// positions [start, start+width), most significant first, and returns the
+// result. Higher nybbles of v are ignored. The constraints are Field's.
 func (a Addr) SetField(start, width int, v uint64) Addr {
-	return a.Nybbles().SetField(start, width, v).Addr()
+	shift, mask := fieldShift(start, width)
+	hi, lo := a.Uint64s()
+	v &= mask
+	hi = hi&^(mask<<(shift-64)|mask>>(64-shift)) | v<<(shift-64) | v>>(64-shift)
+	lo = lo&^(mask<<shift) | v<<shift
+	return AddrFromUint64s(hi, lo)
+}
+
+// fieldShift validates the field [start, start+width) and returns its
+// distance in bits from the least significant end of the 128-bit address
+// (0..128) and the width-nybble value mask.
+//
+// The callers combine the two 64-bit halves with shifts by shift,
+// 64-shift and shift-64 as unsigned counts. Go defines a shift by 64 or
+// more to yield 0, and a negative difference wraps to a huge count, so
+// exactly the terms that belong to the field's half survive without a
+// branch.
+func fieldShift(start, width int) (shift uint, mask uint64) {
+	// start > NybbleCount-width cannot overflow once width is in range.
+	if width < 0 || width > 16 || start < 0 || start > NybbleCount-width {
+		panic(fmt.Sprintf("ip6: invalid nybble field [%d,%d)", start, start+width))
+	}
+	return uint(4 * (NybbleCount - start - width)), uint64(1)<<(4*uint(width)) - 1
 }
 
 // Compare returns -1, 0 or +1 depending on whether a sorts before, equal

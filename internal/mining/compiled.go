@@ -1,7 +1,9 @@
 package mining
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"entropyip/internal/ip6"
@@ -50,6 +52,20 @@ type compiledSegment struct {
 	// term the likelihood path charges per covered value, precomputed so
 	// scoring does not re-take math.Log per address.
 	logWidth []float64
+
+	// The decode table. A segment value v sits at bits
+	// [shift, shift+4·width) of the address read as one 128-bit word
+	// (bit 0 least significant); mask keeps its low width nybbles.
+	shift uint
+	mask  uint64
+	// elems[k] is element k's decode entry.
+	elems []decodeElem
+}
+
+// decodeElem is one mined element as the decode kernel samples it: the
+// value lo when span is 0 (exact values), else uniformly [lo, lo+span].
+type decodeElem struct {
+	lo, span uint64
 }
 
 // packedCode builds the packed code for a segment value from the
@@ -72,12 +88,27 @@ func (e *Encoder) Compile() *CompiledEncoder {
 		models: e.Models,
 		segs:   make([]compiledSegment, len(e.Models)),
 	}
+	total := 0
+	for _, m := range e.Models {
+		total += len(m.Values)
+	}
+	// One backing array per per-element table, sliced per segment.
+	logWidth := make([]float64, 0, total)
+	elems := make([]decodeElem, 0, total)
 	for i, m := range e.Models {
-		cs := compiledSegment{start: m.Seg.Start, width: m.Seg.Width}
-		cs.logWidth = make([]float64, len(m.Values))
-		for k, v := range m.Values {
-			cs.logWidth[k] = math.Log(float64(v.Width()))
+		cs := compiledSegment{
+			start: m.Seg.Start,
+			width: m.Seg.Width,
+			shift: uint(4 * (ip6.NybbleCount - m.Seg.End())),
+			mask:  m.Seg.MaxValue(),
 		}
+		for _, v := range m.Values {
+			logWidth = append(logWidth, math.Log(float64(v.Width())))
+			elems = append(elems, decodeElem{lo: v.Lo, span: v.Hi - v.Lo})
+		}
+		n := len(logWidth)
+		cs.logWidth = logWidth[n-len(m.Values) : n : n]
+		cs.elems = elems[n-len(m.Values) : n : n]
 		if len(m.Values) > 0 {
 			if m.Seg.Width <= directMaxNybbles {
 				cs.direct = compileDirect(m)
@@ -118,7 +149,9 @@ func compileIntervals(m *SegmentModel) (bounds []uint64, codes []int32) {
 	max := m.Seg.MaxValue()
 	cutSet := map[uint64]struct{}{0: {}}
 	for _, v := range m.Values {
-		cutSet[v.Lo] = struct{}{}
+		if v.Lo <= max { // a Lo past the segment's domain cuts nothing
+			cutSet[v.Lo] = struct{}{}
+		}
 		if v.Hi < max {
 			cutSet[v.Hi+1] = struct{}{}
 		}
@@ -210,11 +243,10 @@ func (c *CompiledEncoder) LogWidth(seg, idx int) float64 {
 // element, as in Encoder.Encode. When any segment has no mined values at
 // all its slot is -1 and exact is false.
 func (c *CompiledEncoder) EncodeInto(dst []int, a ip6.Addr) (exact bool) {
-	n := a.Nybbles()
 	exact = true
 	for i := range c.segs {
 		cs := &c.segs[i]
-		p := cs.lookup(n.Field(cs.start, cs.width))
+		p := cs.lookup(a.Field(cs.start, cs.width))
 		if p < 0 {
 			dst[i] = -1
 			exact = false
@@ -226,6 +258,59 @@ func (c *CompiledEncoder) EncodeInto(dst []int, a ip6.Addr) (exact bool) {
 		}
 	}
 	return exact
+}
+
+// Decode materializes a concrete address from a categorical vector, the
+// word kernel behind Encoder.Decode. Each segment's value is a table load
+// (exact elements) or one sampleSpan draw (ranges), masked to the segment
+// width and ORed into the address's two 64-bit halves, which become an
+// ip6.Addr once at the end. Segments are disjoint, as in every
+// segment.Segmentation, and may straddle bit 64: a value then lands
+// partly in hi and partly in lo.
+//
+// The rng is consumed exactly as Value.Sample consumes it, segment by
+// segment in order, so the candidate stream for a seed is the one the
+// per-segment reference (Segment.Set of Value.Sample) produces.
+func (c *CompiledEncoder) Decode(vec []int, rng *rand.Rand) (ip6.Addr, error) {
+	if len(vec) != len(c.segs) {
+		return ip6.Addr{}, c.decodeError(vec)
+	}
+	var hi, lo uint64
+	for i := range c.segs {
+		cs := &c.segs[i]
+		k := vec[i]
+		if uint(k) >= uint(len(cs.elems)) {
+			return ip6.Addr{}, c.decodeError(vec)
+		}
+		el := cs.elems[k]
+		v := el.lo
+		if el.span != 0 {
+			v = sampleSpan(el.lo, el.span, rng)
+		}
+		v &= cs.mask
+		// Shift counts of 64 or more yield 0 (see ip6.Addr.SetField), so
+		// only the terms for the halves the segment covers survive.
+		s := cs.shift
+		hi |= v<<(s-64) | v>>(64-s)
+		lo |= v << s
+	}
+	return ip6.AddrFromUint64s(hi, lo), nil
+}
+
+// decodeError explains why Decode rejected vec. It runs once per
+// malformed vector, never per candidate.
+func (c *CompiledEncoder) decodeError(vec []int) error {
+	if len(vec) != len(c.segs) {
+		//eip:alloc-ok cold error path: a malformed vector ends the request
+		return fmt.Errorf("mining: Decode needs %d categories, got %d", len(c.segs), len(vec))
+	}
+	for i, k := range vec {
+		if k < 0 || k >= len(c.segs[i].elems) {
+			//eip:alloc-ok cold error path: a malformed vector ends the request
+			return fmt.Errorf("mining: category %d out of range for segment %s", k, c.models[i].Seg.Label)
+		}
+	}
+	return nil
 }
 
 // Compiled returns the encoder's flat-table form, built once and cached;

@@ -209,3 +209,93 @@ func TestEncodeIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("EncodeInto allocates %.1f times per address, want 0", n)
 	}
 }
+
+// refDecode is the per-segment reference decoder the word kernel
+// replaced: Value.Sample per segment, written with Segment.Set.
+func refDecode(models []*SegmentModel, vec []int, rng *rand.Rand) ip6.Addr {
+	var a ip6.Addr
+	for i, m := range models {
+		a = m.Seg.Set(a, m.Values[vec[i]].Sample(rng))
+	}
+	return a
+}
+
+// decodeValues are the element shapes the decode kernel distinguishes on a
+// segment of the given width: exact values, small, power-of-two and odd
+// ranges, ranges whose rejection loop often redraws, the full domain, and
+// the malformed shapes core.Load rejects (a value wider than the segment,
+// lo > hi), which must still truncate exactly as Segment.Set does.
+func decodeValues(width int) []Value {
+	max := segment.Segment{Width: width}.MaxValue()
+	return []Value{
+		{Lo: 0, Hi: 0},
+		{Lo: max, Hi: max},
+		{Lo: 3, Hi: 9},
+		{Lo: 0, Hi: 15},
+		{Lo: 0, Hi: max},
+		{Lo: 1, Hi: max},
+		{Lo: max / 3, Hi: max/3 + max/2 + 1},
+		{Lo: max + 1, Hi: max + 1},
+		{Lo: 5, Hi: 1},
+	}
+}
+
+// TestCompiledDecodeMatchesReference checks the word kernel against the
+// per-segment reference draw for draw: the same address for every vector
+// and the same rng state afterwards, on segmentations with segments of
+// every width class, including ones straddling bit 64.
+func TestCompiledDecodeMatchesReference(t *testing.T) {
+	layouts := [][]segment.Segment{
+		{{Start: 0, Width: 8}, {Start: 8, Width: 8}, {Start: 16, Width: 16}},
+		{{Start: 0, Width: 6}, {Start: 6, Width: 8}, {Start: 14, Width: 6}, {Start: 20, Width: 12}},
+		{{Start: 0, Width: 8}, {Start: 8, Width: 16}, {Start: 24, Width: 8}},
+		{{Start: 0, Width: 1}, {Start: 1, Width: 15}, {Start: 16, Width: 1}, {Start: 17, Width: 15}},
+		{{Start: 0, Width: 12}, {Start: 12, Width: 4}}, // MaxNybble 16
+	}
+	for li, layout := range layouts {
+		models := make([]*SegmentModel, len(layout))
+		for i, seg := range layout {
+			seg.Label = segment.Label(i)
+			models[i] = &SegmentModel{Seg: seg, Values: decodeValues(seg.Width)}
+		}
+		c := NewEncoder(models).Compiled()
+		pick := rand.New(rand.NewSource(int64(li)))
+		got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		vec := make([]int, len(models))
+		for n := 0; n < 5000; n++ {
+			for i, m := range models {
+				vec[i] = pick.Intn(len(m.Values))
+			}
+			a, err := c.Decode(vec, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := refDecode(models, vec, want); a != ref {
+				t.Fatalf("layout %d vec %v: Decode = %v, reference %v", li, vec, a, ref)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("layout %d vec %v: rng diverged after Decode", li, vec)
+			}
+		}
+	}
+}
+
+// TestDecodeZeroAlloc pins the generation hot path: decoding a valid
+// vector does not allocate.
+func TestDecodeZeroAlloc(t *testing.T) {
+	models := []*SegmentModel{
+		{Seg: segment.Segment{Label: "A", Start: 0, Width: 14}, Values: decodeValues(14)},
+		{Seg: segment.Segment{Label: "B", Start: 14, Width: 4}, Values: decodeValues(4)},
+		{Seg: segment.Segment{Label: "C", Start: 18, Width: 14}, Values: decodeValues(14)},
+	}
+	enc := NewEncoder(models)
+	rng := rand.New(rand.NewSource(1))
+	vec := []int{2, 4, 6}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := enc.Decode(vec, rng); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Decode allocates %.1f times per candidate, want 0", n)
+	}
+}

@@ -99,7 +99,14 @@ func (v Value) Sample(rng *rand.Rand) uint64 {
 	if v.IsExact() {
 		return v.Lo
 	}
-	span := v.Hi - v.Lo
+	return sampleSpan(v.Lo, v.Hi-v.Lo, rng)
+}
+
+// sampleSpan draws uniformly from [lo, lo+span] for span > 0. It is the
+// one range sampler behind Value.Sample and the compiled decode kernel, so
+// both consume the rng draw for draw: one Uint64 for the full 64-bit span,
+// otherwise one per round of the rejection loop.
+func sampleSpan(lo, span uint64, rng *rand.Rand) uint64 {
 	if span == ^uint64(0) {
 		return rng.Uint64()
 	}
@@ -108,8 +115,8 @@ func (v Value) Sample(rng *rand.Rand) uint64 {
 	for {
 		x := rng.Uint64()
 		r := x % n
-		if x-r <= ^uint64(0)-(n-1) {
-			return v.Lo + r
+		if x-r <= ^uint64(0)-span {
+			return lo + r
 		}
 	}
 }
@@ -677,20 +684,10 @@ func (e *Encoder) EncodeAllWorkers(addrs []ip6.Addr, workers int) [][]int {
 
 // Decode materializes a concrete address from a categorical vector by
 // sampling a concrete value from every selected element (exact values are
-// deterministic; ranges sample uniformly).
+// deterministic; ranges sample uniformly). It runs the compiled word
+// kernel (CompiledEncoder.Decode).
 func (e *Encoder) Decode(vec []int, rng *rand.Rand) (ip6.Addr, error) {
-	if len(vec) != len(e.Models) {
-		return ip6.Addr{}, fmt.Errorf("mining: Decode needs %d categories, got %d", len(e.Models), len(vec))
-	}
-	var a ip6.Addr
-	for i, m := range e.Models {
-		if vec[i] < 0 || vec[i] >= m.Arity() {
-			return ip6.Addr{}, fmt.Errorf("mining: category %d out of range for segment %s", vec[i], m.Seg.Label)
-		}
-		v := m.Values[vec[i]]
-		a = m.Seg.Set(a, v.Sample(rng))
-	}
-	return a, nil
+	return e.Compiled().Decode(vec, rng)
 }
 
 // Codes returns the vector of code strings for a categorical vector, e.g.
