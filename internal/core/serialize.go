@@ -236,6 +236,18 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	if err := sg.Validate(); err != nil {
 		return fmt.Errorf("core: invalid segmentation in model file: %w", err)
 	}
+	// Every element must be a range inside its segment: the compiled
+	// decode tables sample [Lo, Lo+(Hi-Lo)], which wraps for Lo > Hi, and
+	// a value above MaxValue would be silently truncated.
+	for _, sm := range models {
+		max := sm.Seg.MaxValue()
+		for _, v := range sm.Values {
+			if v.Lo > v.Hi || v.Hi > max {
+				return fmt.Errorf("core: segment %s value %s has range [%#x, %#x] outside [0, %#x]",
+					sm.Seg.Label, v.Code, v.Lo, v.Hi, max)
+			}
+		}
+	}
 	// Renormalize before validating: CPT rows read from JSON carry float
 	// drift (every cell was independently rounded on encode), and sampling
 	// must never inherit that bias. All-zero rows are rejected here.
