@@ -278,14 +278,16 @@ func (r *Registry) putBytes(name string, m *core.Model, data []byte) (Info, erro
 		return Info{}, fmt.Errorf("registry: invalid model name %q", name)
 	}
 	nameDir := filepath.Join(r.dir, name)
+
+	// Assign the next version and write atomically under the index lock so
+	// concurrent Puts of the same name get distinct versions. The
+	// directory is created under the lock too: Delete removes it under the
+	// same lock, so it cannot vanish between MkdirAll and CreateTemp.
+	r.imu.Lock()
+	defer r.imu.Unlock()
 	if err := os.MkdirAll(nameDir, 0o755); err != nil {
 		return Info{}, fmt.Errorf("registry: %w", err)
 	}
-
-	// Assign the next version and write atomically under the index lock so
-	// concurrent Puts of the same name get distinct versions.
-	r.imu.Lock()
-	defer r.imu.Unlock()
 	version := r.lastVersion[name] + 1
 	if infos := r.index[name]; len(infos) > 0 && infos[len(infos)-1].Version >= version {
 		version = infos[len(infos)-1].Version + 1
@@ -434,9 +436,9 @@ func (r *Registry) OpenRaw(name string, version int) (io.ReadCloser, Info, error
 	if err != nil {
 		return nil, Info{}, err
 	}
-	f, err := os.Open(r.versionFile(info.Name, info.Version))
+	f, err := r.openVersion(info)
 	if err != nil {
-		return nil, Info{}, fmt.Errorf("registry: %w", err)
+		return nil, Info{}, err
 	}
 	return f, info, nil
 }
@@ -445,6 +447,28 @@ func (r *Registry) OpenRaw(name string, version int) (io.ReadCloser, Info, error
 func (r *Registry) resolve(name string, version int) (Info, error) {
 	r.imu.RLock()
 	defer r.imu.RUnlock()
+	return r.resolveLocked(name, version)
+}
+
+// openVersion opens a resolved version's file under the index lock. A
+// concurrent Delete therefore either ran first — the version is no longer
+// indexed and the lookup reports ErrNotFound, as if resolve had lost the
+// race — or waits until the file is open, which its removal cannot undo.
+func (r *Registry) openVersion(info Info) (*os.File, error) {
+	r.imu.RLock()
+	defer r.imu.RUnlock()
+	if _, err := r.resolveLocked(info.Name, info.Version); err != nil {
+		return nil, err
+	}
+	f, err := os.Open(r.versionFile(info.Name, info.Version))
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	return f, nil
+}
+
+// resolveLocked is resolve for callers holding imu.
+func (r *Registry) resolveLocked(name string, version int) (Info, error) {
 	infos := r.index[name]
 	if len(infos) == 0 {
 		return Info{}, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -461,9 +485,9 @@ func (r *Registry) resolve(name string, version int) (Info, error) {
 }
 
 func (r *Registry) loadFromDisk(info Info) (*core.Model, error) {
-	f, err := os.Open(r.versionFile(info.Name, info.Version))
+	f, err := r.openVersion(info)
 	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
+		return nil, err
 	}
 	defer f.Close()
 	m, err := core.Load(f)
