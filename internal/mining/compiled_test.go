@@ -33,15 +33,15 @@ func compiledCases(width int) []*SegmentModel {
 		mkModel(width), // no values: always (-1, false)
 		mkModel(width, Value{Lo: 5, Hi: 5}),
 		mkModel(width, Value{Lo: 0, Hi: max}),
-		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 15, Hi: 15}),         // exact inside range: range wins (first match)
-		mkModel(width, Value{Lo: 15, Hi: 15}, Value{Lo: 10, Hi: 20}),         // exact first: exact wins at 15
-		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 18, Hi: 30}),         // overlap: earlier range wins
-		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 9, Hi: 9}),             // gap 4..8: nearest switches at 6
-		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 8, Hi: 8}),             // even gap: tie at 5..6? strict < keeps first
-		mkModel(width, Value{Lo: 0, Hi: 0}, Value{Lo: max, Hi: max}),         // extreme gap
-		mkModel(width, Value{Lo: 4, Hi: 7}, Value{Lo: 8, Hi: 11}),            // touching ranges, no gap
-		mkModel(width, Value{Lo: 2, Hi: 2}, Value{Lo: 2, Hi: 2}),             // duplicate exacts: first wins
-		mkModel(width, Value{Lo: 6, Hi: 9}, Value{Lo: 6, Hi: 9}),             // duplicate ranges
+		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 15, Hi: 15}), // exact inside range: range wins (first match)
+		mkModel(width, Value{Lo: 15, Hi: 15}, Value{Lo: 10, Hi: 20}), // exact first: exact wins at 15
+		mkModel(width, Value{Lo: 10, Hi: 20}, Value{Lo: 18, Hi: 30}), // overlap: earlier range wins
+		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 9, Hi: 9}),     // gap 4..8: nearest switches at 6
+		mkModel(width, Value{Lo: 3, Hi: 3}, Value{Lo: 8, Hi: 8}),     // even gap: tie at 5..6? strict < keeps first
+		mkModel(width, Value{Lo: 0, Hi: 0}, Value{Lo: max, Hi: max}), // extreme gap
+		mkModel(width, Value{Lo: 4, Hi: 7}, Value{Lo: 8, Hi: 11}),    // touching ranges, no gap
+		mkModel(width, Value{Lo: 2, Hi: 2}, Value{Lo: 2, Hi: 2}),     // duplicate exacts: first wins
+		mkModel(width, Value{Lo: 6, Hi: 9}, Value{Lo: 6, Hi: 9}),     // duplicate ranges
 		mkModel(width, Value{Lo: 1, Hi: 2}, Value{Lo: 5, Hi: 5}, Value{Lo: 9, Hi: max}),
 		mkModel(width, Value{Lo: max - 1, Hi: max}),
 		mkModel(width, Value{Lo: 0, Hi: 1}, Value{Lo: max - 1, Hi: max}, Value{Lo: max / 2, Hi: max/2 + 2}),
