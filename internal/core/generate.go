@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"entropyip/internal/ip6"
 	"entropyip/internal/parallel"
@@ -17,8 +15,7 @@ type GenerateOptions struct {
 	// Count is the number of candidates to generate (the paper uses 1M).
 	Count int
 	// Seed seeds the generator's randomness; generation is deterministic
-	// for a fixed model, seed and options (see Unordered for the one
-	// exception).
+	// for a fixed model, seed and options.
 	Seed int64
 	// Evidence optionally constrains generation to particular segment
 	// values (e.g. only addresses within one mined /32 code).
@@ -40,15 +37,11 @@ type GenerateOptions struct {
 	Stop func() bool
 	// Workers bounds the number of goroutines drawing candidates
 	// (0 = GOMAXPROCS, 1 = fully sequential). The candidate sequence is
-	// identical for every worker count unless Unordered is set: draws
-	// come from a fixed number of logical substreams that are merged in
-	// a worker-independent round-robin order.
+	// identical for every worker count: draws come from a fixed number of
+	// logical substreams that are merged in a worker-independent
+	// round-robin order.
 	Workers int
-	// Unordered trades the deterministic candidate order for throughput:
-	// workers emit candidates as soon as they are drawn instead of
-	// waiting for the ordered merge. The candidate SET for a fixed seed
-	// is still drawn from the same distribution, but order and (under
-	// races between duplicate draws) membership may vary run to run.
+	// Deprecated: ignored; every stream is ordered.
 	Unordered bool
 }
 
@@ -134,8 +127,7 @@ func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
 }
 
 // genRun is one generation run: the compiled draw function plus the
-// limits and sinks shared by the sequential, ordered-parallel and
-// unordered-parallel executions.
+// limits and sinks shared by the sequential and parallel executions.
 type genRun struct {
 	count          int
 	maxAttempts    int
@@ -180,14 +172,10 @@ func (m *Model) generate(opts GenerateOptions, mask64 bool, excluded func(ip6.Ad
 	if r.workers > genSubstreams {
 		r.workers = genSubstreams
 	}
-	switch {
-	case r.workers <= 1 || r.count < genParallelCutoff:
+	if r.workers <= 1 || r.count < genParallelCutoff {
 		return r.runSequential()
-	case opts.Unordered:
-		return r.runUnordered()
-	default:
-		return r.runOrdered()
 	}
+	return r.runOrdered()
 }
 
 // pollStop reports whether generation should halt at this attempt.
@@ -356,119 +344,6 @@ func (r *genRun) produce(stream int, out chan<- drawBatch, sem chan struct{}, do
 	}
 }
 
-// dedupShards is the number of independently locked dedup sets the
-// unordered execution hashes candidates across. Power of two.
-const dedupShards = 64
-
-// shardedSet is an address set sharded by hash so concurrent workers
-// rarely contend on the same lock.
-type shardedSet struct {
-	shards [dedupShards]struct {
-		mu  sync.Mutex
-		set *ip6.Set
-		_   [40]byte // keep neighboring locks off one cache line
-	}
-}
-
-func newShardedSet(count int) *shardedSet {
-	s := &shardedSet{}
-	per := setCapacity(count)/dedupShards + 1
-	for i := range s.shards {
-		s.shards[i].set = ip6.NewSet(per)
-	}
-	return s
-}
-
-// add inserts the address and reports whether it was not already present.
-func (s *shardedSet) add(a ip6.Addr) bool {
-	hi, lo := a.Uint64s()
-	// SplitMix64-style finalizer over the address words.
-	z := hi ^ (lo * 0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z ^= z >> 31
-	sh := &s.shards[z&(dedupShards-1)]
-	sh.mu.Lock()
-	fresh := sh.set.Add(a)
-	sh.mu.Unlock()
-	return fresh
-}
-
-// runUnordered is the throughput-first parallel execution: each worker
-// owns one substream and emits candidates as soon as they clear the
-// sharded dedup set, with a shared atomic attempt budget. The consuming
-// goroutine only forwards to yield, so candidate order depends on
-// scheduling.
-func (r *genRun) runUnordered() error {
-	done := make(chan struct{})
-	var once sync.Once
-	finish := func() { once.Do(func() { close(done) }) }
-	defer finish()
-
-	out := make(chan ip6.Addr, 64*r.workers)
-	errc := make(chan error, r.workers)
-	var attempts atomic.Int64
-	seen := newShardedSet(r.count)
-	var wg sync.WaitGroup
-	for w := 0; w < r.workers; w++ {
-		wg.Add(1)
-		go func(stream int) {
-			defer wg.Done()
-			rng := stats.Split(r.seed, int64(stream))
-			buf := make([]int, r.bufLen)
-			for n := 1; ; n++ {
-				if attempts.Add(1) > int64(r.maxAttempts) {
-					return
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if r.stop != nil && (r.perAttemptStop || n%stopPollInterval == 0) && r.stop() {
-					finish()
-					return
-				}
-				a, err := r.draw(rng, buf)
-				if err != nil {
-					errc <- err
-					finish()
-					return
-				}
-				if r.excluded(a) || !seen.add(a) {
-					continue
-				}
-				select {
-				case out <- a:
-				case <-done:
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	emitted := 0
-	for a := range out {
-		emitted++
-		ok := r.yield(a)
-		if !ok || emitted == r.count {
-			finish()
-			break
-		}
-	}
-	if emitted < r.count {
-		select {
-		case err := <-errc:
-			return err
-		default:
-		}
-	}
-	return nil
-}
-
 // GenerateStream draws unique candidate IPv6 addresses from the model's
 // joint distribution (§5.5 of the paper) and hands each one to yield as
 // soon as it is produced, without accumulating them. Generation stops when
@@ -479,8 +354,7 @@ func (r *genRun) runUnordered() error {
 // lists over a network connection.
 //
 // The candidate sequence is identical to Generate's for the same model,
-// seed and options, and — unless Unordered is set — identical for every
-// Workers value.
+// seed and options, and identical for every Workers value.
 func (m *Model) GenerateStream(opts GenerateOptions, yield func(ip6.Addr) bool) error {
 	if opts.Count <= 0 {
 		return fmt.Errorf("core: GenerateStream needs a positive Count")

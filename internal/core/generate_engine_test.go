@@ -90,15 +90,16 @@ func TestGeneratePrefixesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGenerateUnordered checks the throughput mode keeps every
-// correctness property except ordering: requested count, uniqueness,
-// exclusion and evidence all hold.
-func TestGenerateUnordered(t *testing.T) {
+// TestGenerateParallelExcludeEvidence checks exclusion and evidence on
+// the parallel engine: with Count >= genParallelCutoff and several
+// workers, runOrdered (not runSequential) merges the substreams, and the
+// requested count, uniqueness, exclusion and evidence must all hold.
+func TestGenerateParallelExcludeEvidence(t *testing.T) {
 	m, addrs := buildTestModel(t, 4000, 25, Options{})
 	exclude := ip6.NewSet(len(addrs))
 	exclude.AddAll(addrs)
 	got, err := m.Generate(GenerateOptions{
-		Count: 1500, Seed: 3, Workers: 8, Unordered: true, Exclude: exclude,
+		Count: 1500, Seed: 3, Workers: 4, Exclude: exclude,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,21 +120,30 @@ func TestGenerateUnordered(t *testing.T) {
 	ev := genEvidence(t, m)
 	sm := m.Segments[len(m.Segments)-1]
 	want := sm.Values[0]
-	got, err = m.Generate(GenerateOptions{Count: 1100, Seed: 4, Workers: 4, Unordered: true, Evidence: ev})
+	got, err = m.Generate(GenerateOptions{Count: 1100, Seed: 4, Workers: 4, Evidence: ev})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(got) == 0 {
+		t.Fatal("no candidates generated under evidence")
+	}
+	seen = ip6.NewSet(len(got))
 	for _, a := range got {
+		if !seen.Add(a) {
+			t.Fatalf("duplicate candidate %v under evidence", a)
+		}
 		if !want.Contains(sm.Seg.Value(a)) {
 			t.Fatalf("candidate %v violates evidence %v", a, ev)
 		}
 	}
 }
 
-// TestGenerateUnorderedSmallSupport checks the attempt budget also
-// bounds the unordered execution: a nearly-enumerable model must stop
-// rather than spin.
-func TestGenerateUnorderedSmallSupport(t *testing.T) {
+// TestGenerateParallelSmallSupport checks the attempt budget bounds the
+// parallel engine: a nearly-enumerable model must stop after exactly
+// Count×MaxAttemptsFactor draws rather than spin. Without evidence Stop
+// is polled once per stopPollInterval attempts, so the number of polls
+// pins the number of attempts.
+func TestGenerateParallelSmallSupport(t *testing.T) {
 	var addrs []ip6.Addr
 	base := ip6.MustParseAddr("2001:db8::")
 	for i := 0; i < 8; i++ {
@@ -146,53 +156,59 @@ func TestGenerateUnorderedSmallSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const count, factor = 10000, 2
+	var polls atomic.Int64
 	got, err := m.Generate(GenerateOptions{
-		Count: 10000, Seed: 1, MaxAttemptsFactor: 2, Workers: 4, Unordered: true,
+		Count: count, Seed: 1, MaxAttemptsFactor: factor, Workers: 4,
+		Stop: func() bool { polls.Add(1); return false },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) >= 10000 {
-		t.Error("expected fewer unique candidates than requested")
+	if len(got) == 0 || len(got) >= count {
+		t.Fatalf("generated %d candidates, want some but fewer than %d", len(got), count)
 	}
-	if len(got) == 0 {
-		t.Error("expected at least some candidates")
+	seen := ip6.NewSet(len(got))
+	for _, a := range got {
+		if !seen.Add(a) {
+			t.Fatalf("duplicate candidate %v", a)
+		}
+	}
+	if n, want := polls.Load(), int64(count*factor/stopPollInterval); n != want {
+		t.Errorf("Stop polled %d times, want %d (one per %d of %d attempts)", n, want, stopPollInterval, count*factor)
 	}
 }
 
 // TestGenerateStopLatencyWithEvidence is the cancellation regression
 // test: with evidence set, Stop is polled on every attempt (not every
 // stopPollInterval), so a disconnected client halts generation after at
-// most a handful of draws — across every execution mode.
+// most a handful of draws — sequentially and in parallel.
 func TestGenerateStopLatencyWithEvidence(t *testing.T) {
 	m, _ := buildTestModel(t, 3000, 26, Options{})
 	ev := genEvidence(t, m)
 	for _, workers := range []int{1, 4} {
-		for _, unordered := range []bool{false, true} {
-			var emitted atomic.Int64
-			var stopped atomic.Bool
-			stopped.Store(true)
-			start := time.Now()
-			err := m.GenerateStream(GenerateOptions{
-				Count:     1 << 20,
-				Seed:      1,
-				Evidence:  ev,
-				Workers:   workers,
-				Unordered: unordered,
-				Stop:      func() bool { return stopped.Load() },
-			}, func(ip6.Addr) bool {
-				emitted.Add(1)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := emitted.Load(); n != 0 {
-				t.Errorf("workers=%d unordered=%v: emitted %d candidates after Stop, want 0", workers, unordered, n)
-			}
-			if d := time.Since(start); d > 5*time.Second {
-				t.Errorf("workers=%d unordered=%v: generation took %v to notice Stop", workers, unordered, d)
-			}
+		var emitted atomic.Int64
+		var stopped atomic.Bool
+		stopped.Store(true)
+		start := time.Now()
+		err := m.GenerateStream(GenerateOptions{
+			Count:    1 << 20,
+			Seed:     1,
+			Evidence: ev,
+			Workers:  workers,
+			Stop:     func() bool { return stopped.Load() },
+		}, func(ip6.Addr) bool {
+			emitted.Add(1)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := emitted.Load(); n != 0 {
+			t.Errorf("workers=%d: emitted %d candidates after Stop, want 0", workers, n)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("workers=%d: generation took %v to notice Stop", workers, d)
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -174,6 +175,12 @@ func (r *Registry) scan() error {
 		}
 		var infos []Info
 		for _, f := range files {
+			if strings.HasPrefix(f.Name(), ".put-") {
+				// A Put that crashed before its rename: never published, so
+				// removal is best effort — the file is skipped either way.
+				_ = os.Remove(filepath.Join(r.dir, name, f.Name()))
+				continue
+			}
 			v, ok := parseVersionFile(f.Name())
 			if !ok {
 				continue
@@ -193,6 +200,19 @@ func (r *Registry) scan() error {
 		}
 	}
 	return nil
+}
+
+// syncDir flushes a directory's entries (a rename into it) to disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // versionFile returns the path of one version file.
@@ -298,17 +318,25 @@ func (r *Registry) putBytes(name string, m *core.Model, data []byte) (Info, erro
 		return Info{}, fmt.Errorf("registry: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	// The data reaches disk before the rename publishes it, and the rename
+	// reaches disk before Put returns, so a crash leaves either no version
+	// file or a complete one — never an empty vNNNNNN.json. A crash before
+	// the rename leaves a .put-* file, which the next Open removes.
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpName, path)
+	}
+	if err != nil {
 		os.Remove(tmpName)
 		return Info{}, fmt.Errorf("registry: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return Info{}, fmt.Errorf("registry: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := syncDir(nameDir); err != nil {
 		return Info{}, fmt.Errorf("registry: %w", err)
 	}
 	st, err := os.Stat(path)

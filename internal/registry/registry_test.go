@@ -148,6 +148,49 @@ func TestReopenScansDisk(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesStalePutFiles checks that the temp file of a Put that
+// crashed before its rename is swept at Open and never indexed — even
+// when it holds a complete model document.
+func TestOpenRemovesStalePutFiles(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Put("web", testModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join(dir, "web", "v000001.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{filepath.Join(dir, "web", ".put-x"), filepath.Join(dir, "mail", ".put-y")}
+	if err := os.Mkdir(filepath.Join(dir, "mail"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range stale {
+		if err := os.WriteFile(p, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r2, err := Open(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range stale {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("stale %s survived Open (stat err %v)", p, err)
+		}
+	}
+	if vs, err := r2.Versions("web"); err != nil || len(vs) != 1 || vs[0].Version != 1 {
+		t.Errorf("Versions(web) = %+v, %v; want only v1", vs, err)
+	}
+	if list := r2.List(); len(list) != 1 || list[0].Name != "web" {
+		t.Errorf("List() = %+v, want only web", list)
+	}
+}
+
 func TestPutRawValidates(t *testing.T) {
 	r, err := Open(t.TempDir(), 4)
 	if err != nil {

@@ -18,24 +18,20 @@ import (
 )
 
 // BenchmarkGenerateNDJSON is the CI-gated per-line cost of the generate
-// stream's formatting path: one candidate address formatted into the
-// pooled line buffer and written through a bufio.Writer, exactly as
-// handleGenerate does per candidate. Steady state must be 0 allocs/op
+// stream's formatting path: one candidate address formatted by a reused
+// ndjsonWriter, whose chunks go through a bufio.Writer, exactly as
+// generateStreams does per candidate. Steady state must be 0 allocs/op
 // (gated strictly by scripts/check_bench.sh) — this is the "0 amortized
 // allocs/address" acceptance number for the streaming path.
 func BenchmarkGenerateNDJSON(b *testing.B) {
 	addrs := testAddrs(4096, 1)
 	bw := bufio.NewWriter(io.Discard)
-	lb := getLineBuf()
-	defer putLineBuf(lb)
+	var nw ndjsonWriter
+	nw.Reset(bw, 0, false, "", DefaultFlushEvery)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := addrs[i%len(addrs)]
-		lb.b = append(lb.b[:0], `{"addr":"`...)
-		lb.b = a.AppendString(lb.b)
-		lb.b = append(lb.b, '"', '}', '\n')
-		if _, err := bw.Write(lb.b); err != nil {
+		if err := nw.AddAddr(addrs[i%len(addrs)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +55,7 @@ func BenchmarkGenerateNDJSONReference(b *testing.B) {
 
 // BenchmarkGenerateBinary100k is the CI-gated frame-encode cost of the
 // binary generate path: 100k candidate addresses per op appended through
-// a reused wire.Writer into a bufio.Writer, exactly as generateBinary's
+// a reused wire.Writer into a bufio.Writer, exactly as generateStreams'
 // producer does per candidate (header write, data frames, End frame).
 // Steady state must be 0 allocs/op, and scripts/check_bench.sh compares
 // its per-candidate cost against BenchmarkGenerateNDJSON in the same run

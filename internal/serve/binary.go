@@ -19,12 +19,10 @@ import (
 	"entropyip/internal/wire"
 )
 
-// This file is the binary half of the wire-protocol redesign (PR 7): the
-// Accept/Content-Type negotiation between NDJSON and the framed binary
-// encoding of internal/wire, the batch (multi-stream) generate engine
-// both encodings share, and the binary /observe decode path. The
-// single-stream NDJSON path in server.go is untouched and byte-identical
-// to what PR 5 pinned.
+// This file holds the Accept/Content-Type negotiation between NDJSON and
+// the framed binary encoding of internal/wire, the one generate serving
+// loop both encodings and both request forms (single stream, batch)
+// share, and the binary /observe decode path.
 
 // encoding is a negotiated request/response encoding.
 type encoding int
@@ -210,7 +208,6 @@ func (s *Server) generateOptions(ctx context.Context, st resolvedStream, req *Ge
 		Evidence:          st.evidence,
 		MaxAttemptsFactor: st.maxAttempts,
 		Workers:           workers,
-		Unordered:         req.Unordered,
 		Stop:              func() bool { return ctx.Err() != nil || s.isDraining() },
 	}
 }
@@ -247,22 +244,20 @@ func (g *streamGate) acquire(ctx context.Context) (func(), bool) {
 	}
 }
 
-// lockedSink serializes frame/line writes from concurrent stream
-// producers onto one buffered response writer. Each Write call must be
-// one complete frame (or NDJSON line) — wire.Writer guarantees this —
-// so frames of different streams interleave without tearing. The first
-// error (including client disconnect) sticks and fails every later
+// lockedSink serializes writes from concurrent stream producers onto one
+// buffered response writer and flushes each one to the client. Each
+// Write call must be whole frames or whole NDJSON lines — wire.Writer
+// and ndjsonWriter guarantee this, handing over one chunk per
+// flushEvery candidates — so streams interleave without tearing. The
+// first error (including client disconnect) sticks and fails every later
 // write, stopping all producers.
 type lockedSink struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
 	flusher http.Flusher
 	ctx     context.Context
-	// every flushes after that many writes; 1 flushes each write.
-	every  int
-	n      int
-	writes int64
-	err    error
+	writes  int64
+	err     error
 }
 
 func (ls *lockedSink) Write(p []byte) (int, error) {
@@ -281,15 +276,12 @@ func (ls *lockedSink) Write(p []byte) (int, error) {
 		return n, err
 	}
 	ls.writes++
-	ls.n++
-	if ls.n%ls.every == 0 {
-		if err := ls.bw.Flush(); err != nil {
-			ls.err = err
-			return n, err
-		}
-		if ls.flusher != nil {
-			ls.flusher.Flush()
-		}
+	if err := ls.bw.Flush(); err != nil {
+		ls.err = err
+		return n, err
+	}
+	if ls.flusher != nil {
+		ls.flusher.Flush()
 	}
 	return n, nil
 }
@@ -315,14 +307,26 @@ var wireReaderPool = sync.Pool{
 	New: func() interface{} { return new(wire.Reader) },
 }
 
-// generateBinary streams candidates in the framed binary encoding,
-// single-stream or batch. The stream header goes out first; stream
-// producers then run concurrently (bounded by maxConcurrentStreams),
-// each multiplexing complete frames onto the shared sink. A stream that
-// fails after bytes are on the wire reports in-band through its Error
-// frame; a single-stream request that fails before anything was flushed
-// still gets a clean error envelope.
-func (s *Server) generateBinary(w http.ResponseWriter, r *http.Request, m *core.Model, req *GenerateRequest, streams []resolvedStream, batch bool, release func()) {
+// streamWriter encodes one generate stream: *wire.Writer in the binary
+// encoding, *ndjsonWriter in NDJSON. Both hand the sink whole frames or
+// lines only, one chunk per flushEvery candidates.
+type streamWriter interface {
+	AddAddr(ip6.Addr) error
+	AddPrefix(ip6.Prefix) error
+	Error(msg string) error
+	End() error
+}
+
+// generateStreams is the one generate serving loop, for both encodings
+// and both request forms. It writes the binary stream header, then runs
+// every stream: a single stream is a batch of one, run inline under the
+// request's admission slot; the streams of a batch run concurrently,
+// each claiming its own slot through the stream gate, and interleave
+// their frames or lines on the shared sink. A single stream that fails
+// before its sink received anything is answered with the JSON error
+// envelope; every other failure, and a drain that cuts a stream short,
+// reports in-band through the stream's Error frame or error line.
+func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core.Model, enc encoding, req *GenerateRequest, streams []resolvedStream, batch bool, release func()) {
 	ctx := r.Context()
 	if batch {
 		// The request-level admission slot goes back before fan-out: each
@@ -335,75 +339,82 @@ func (s *Server) generateBinary(w http.ResponseWriter, r *http.Request, m *core.
 	}
 	flusher, _ := w.(http.Flusher)
 	bw := bufio.NewWriterSize(w, 32<<10)
-	// Data frames are kilobytes each, so flushing every frame keeps
-	// time-to-first-candidate low without defeating buffering.
-	sink := &lockedSink{bw: bw, flusher: flusher, ctx: ctx, every: 1}
-
-	var flags uint8
-	if req.Prefixes {
-		flags |= wire.FlagPrefixes
-	}
-	if batch {
-		flags |= wire.FlagBatch
-	}
-	// The header goes into the bufio buffer but is not flushed: if a
-	// single-stream request fails before its first frame, the buffer is
-	// simply abandoned and a JSON error envelope written instead.
-	var hb [wire.HeaderSize]byte
-	if _, err := bw.Write(wire.AppendHeader(hb[:0], wire.Header{
-		Flags:   flags,
-		Streams: len(streams),
-		Seed:    streams[0].seed,
-	})); err != nil {
-		return
-	}
-	// The request's trace ID rides right behind the header as a Trace
-	// frame, so a client holding only the binary stream (possibly saved to
-	// disk) can still pull the matching flight-recorder trace. It shares
-	// the header's not-flushed-yet property: abandoned with the buffer if
-	// a single-stream request dies before its first data frame.
+	sink := &lockedSink{bw: bw, flusher: flusher, ctx: ctx}
 	root := requestSpan(ctx)
-	if tid := root.TraceID(); tid.IsValid() {
-		var tb [wire.FrameHeaderSize + 16]byte
-		if _, err := bw.Write(wire.AppendTraceFrame(tb[:0], 0, tid)); err != nil {
+	traceID := traceIDString(ctx)
+	every := s.opts.flushEvery()
+
+	if enc == encBinary {
+		var flags uint8
+		if req.Prefixes {
+			flags |= wire.FlagPrefixes
+		}
+		if batch {
+			flags |= wire.FlagBatch
+		}
+		// The header goes into the bufio buffer but is not flushed: if a
+		// single-stream request fails before its first frame, the buffer is
+		// simply abandoned and a JSON error envelope written instead.
+		var hb [wire.HeaderSize]byte
+		if _, err := bw.Write(wire.AppendHeader(hb[:0], wire.Header{
+			Flags:   flags,
+			Streams: len(streams),
+			Seed:    streams[0].seed,
+		})); err != nil {
 			return
+		}
+		// The request's trace ID rides right behind the header as a Trace
+		// frame, so a client holding only the binary stream (possibly saved
+		// to disk) can still pull the matching flight-recorder trace. It
+		// shares the header's not-flushed-yet property.
+		if tid := root.TraceID(); tid.IsValid() {
+			var tb [wire.FrameHeaderSize + 16]byte
+			if _, err := bw.Write(wire.AppendTraceFrame(tb[:0], 0, tid)); err != nil {
+				return
+			}
 		}
 	}
 
-	var produced int64
-	streamErrs := make([]error, len(streams))
+	var produced atomic.Int64
+	var early error // a single stream's error before its sink received anything
 	runStream := func(idx int, span *trace.Span) {
 		defer span.Finish()
 		st := streams[idx]
 		span.SetInt("stream", int64(idx))
 		span.SetInt("count", int64(st.count))
 		span.SetInt("seed", st.seed)
-		ww := wireWriterPool.Get().(*wire.Writer)
-		defer wireWriterPool.Put(ww)
-		ww.Reset(sink, idx, req.Prefixes, s.opts.flushEvery())
-		if batch {
-			if ww.Seed(st.seed) != nil {
+		var sw streamWriter
+		if enc == encBinary {
+			ww := wireWriterPool.Get().(*wire.Writer)
+			defer wireWriterPool.Put(ww)
+			ww.Reset(sink, idx, req.Prefixes, every)
+			if batch && ww.Seed(st.seed) != nil {
 				return
 			}
+			sw = ww
+		} else {
+			nw := ndjsonWriterPool.Get().(*ndjsonWriter) //eip:pool-ok putNDJSONWriter puts it back unless its buffer grew oversized
+			defer putNDJSONWriter(nw)
+			nw.Reset(sink, idx, batch, traceID, every)
+			sw = nw
 		}
 		opts := s.generateOptions(ctx, st, req)
 		var n int64
-		var werr error
-		var err error
+		var werr, err error
 		if req.Prefixes {
 			err = m.GeneratePrefixesStream(opts, func(p ip6.Prefix) bool {
 				n++
-				werr = ww.AddPrefix(p)
+				werr = sw.AddPrefix(p)
 				return werr == nil
 			})
 		} else {
 			err = m.GenerateStream(opts, func(a ip6.Addr) bool {
 				n++
-				werr = ww.AddAddr(a)
+				werr = sw.AddAddr(a)
 				return werr == nil
 			})
 		}
-		atomic.AddInt64(&produced, n)
+		produced.Add(n)
 		span.SetInt("produced", n)
 		switch {
 		case werr != nil || ctx.Err() != nil:
@@ -412,34 +423,30 @@ func (s *Server) generateBinary(w http.ResponseWriter, r *http.Request, m *core.
 		case err != nil:
 			span.SetError(err.Error())
 			if !batch && !sink.wroteAny() {
-				// Nothing flushed yet: the caller answers with a clean
-				// error envelope instead of a binary Error frame.
-				streamErrs[idx] = err
+				early = err
 				return
 			}
 			s.logger.Error("generate failed mid-stream",
 				"request_id", requestID(ctx),
-				"trace_id", traceIDString(ctx),
+				"trace_id", traceID,
 				"model", r.PathValue("name"),
 				"stream", idx,
-				"encoding", "binary",
+				"encoding", enc.String(),
 				"err", err)
-			_ = ww.Error(err.Error())
+			_ = sw.Error(err.Error())
+		case s.isDraining() && n < int64(st.count):
+			// Drain cut this stream short: say so in-band, so the client
+			// can tell the cut from exhausted model support.
+			_ = sw.Error(drainMessage)
 		default:
-			if s.isDraining() && n < int64(st.count) {
-				// Drain cut this stream short: say so in-band, so the
-				// client can tell the cut from exhausted model support.
-				_ = ww.Error(drainMessage)
-			} else {
-				_ = ww.End()
-			}
+			_ = sw.End()
 		}
 	}
 
 	if !batch {
 		runStream(0, root.StartChild("generate.stream"))
-		if streamErrs[0] != nil {
-			writeError(w, r, http.StatusBadRequest, "%v", streamErrs[0])
+		if early != nil {
+			writeError(w, r, http.StatusBadRequest, "%v", early)
 			return
 		}
 	} else {
@@ -465,127 +472,7 @@ func (s *Server) generateBinary(w http.ResponseWriter, r *http.Request, m *core.
 		wg.Wait()
 	}
 	_ = bw.Flush()
-	s.candidates.Add(uint64(atomic.LoadInt64(&produced)))
-}
-
-// generateNDJSONBatch streams a batch request in NDJSON: one object per
-// line, each tagged with its stream index —
-//
-//	{"stream":0,"addr":"2001:db8::1"}
-//	{"stream":1,"prefix":"2001:db8::/64"}
-//	{"stream":0,"done":true}           stream completed
-//	{"stream":1,"error":"..."}         stream failed mid-way
-//
-// Lines of different streams interleave arbitrarily; lines of one
-// stream are in its deterministic order. Stream seeds are echoed
-// comma-joined in X-Seed (GenerateItem decodes these lines client-side).
-func (s *Server) generateNDJSONBatch(w http.ResponseWriter, r *http.Request, m *core.Model, req *GenerateRequest, streams []resolvedStream, release func()) {
-	ctx := r.Context()
-	// Same slot handoff as the binary batch path: producers claim their
-	// own tenant slots, so the request-level one goes back first.
-	release()
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriterSize(w, 32<<10)
-	sink := &lockedSink{bw: bw, flusher: flusher, ctx: ctx, every: s.opts.flushEvery()}
-
-	var produced int64
-	runStream := func(idx int, span *trace.Span) {
-		defer span.Finish()
-		st := streams[idx]
-		span.SetInt("stream", int64(idx))
-		span.SetInt("count", int64(st.count))
-		span.SetInt("seed", st.seed)
-		lb := getLineBuf()
-		defer putLineBuf(lb)
-		prefix := `{"stream":` + strconv.Itoa(idx) + `,`
-		opts := s.generateOptions(ctx, st, req)
-		var n int64
-		var werr error
-		write := func() bool {
-			_, werr = sink.Write(lb.b)
-			return werr == nil
-		}
-		var err error
-		if req.Prefixes {
-			err = m.GeneratePrefixesStream(opts, func(p ip6.Prefix) bool {
-				lb.b = append(lb.b[:0], prefix...)
-				lb.b = append(lb.b, `"prefix":"`...)
-				lb.b = p.AppendString(lb.b)
-				lb.b = append(lb.b, '"', '}', '\n')
-				n++
-				return write()
-			})
-		} else {
-			err = m.GenerateStream(opts, func(a ip6.Addr) bool {
-				lb.b = append(lb.b[:0], prefix...)
-				lb.b = append(lb.b, `"addr":"`...)
-				lb.b = a.AppendString(lb.b)
-				lb.b = append(lb.b, '"', '}', '\n')
-				n++
-				return write()
-			})
-		}
-		atomic.AddInt64(&produced, n)
-		span.SetInt("produced", n)
-		switch {
-		case werr != nil || ctx.Err() != nil:
-		case err != nil:
-			span.SetError(err.Error())
-			s.logger.Error("generate failed mid-stream",
-				"request_id", requestID(ctx),
-				"trace_id", traceIDString(ctx),
-				"model", r.PathValue("name"),
-				"stream", idx,
-				"encoding", "ndjson",
-				"err", err)
-			lb.b = append(lb.b[:0], prefix...)
-			lb.b = append(lb.b, `"error":`...)
-			lb.b = appendJSONString(lb.b, err.Error())
-			if tid := traceIDString(ctx); tid != "" {
-				lb.b = append(lb.b, `,"trace_id":`...)
-				lb.b = appendJSONString(lb.b, tid)
-			}
-			lb.b = append(lb.b, '}', '\n')
-			_, _ = sink.Write(lb.b)
-		default:
-			lb.b = append(lb.b[:0], prefix...)
-			if s.isDraining() && n < int64(st.count) {
-				// Drain cut this stream short: an in-band error line, so
-				// the client can tell it from exhausted model support.
-				lb.b = append(lb.b, `"error":`...)
-				lb.b = appendJSONString(lb.b, drainMessage)
-				lb.b = append(lb.b, '}', '\n')
-			} else {
-				lb.b = append(lb.b, `"done":true}`...)
-				lb.b = append(lb.b, '\n')
-			}
-			_, _ = sink.Write(lb.b)
-		}
-	}
-
-	root := requestSpan(ctx)
-	gate := s.newStreamGate(ctx)
-	var wg sync.WaitGroup
-	for i := range streams {
-		span := root.StartChild("generate.stream")
-		wg.Add(1)
-		go func(i int, span *trace.Span) {
-			defer wg.Done()
-			done, ok := gate.acquire(ctx)
-			if !ok {
-				span.Finish()
-				return
-			}
-			defer done()
-			runStream(i, span)
-		}(i, span)
-	}
-	wg.Wait()
-	_ = bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-	s.candidates.Add(uint64(atomic.LoadInt64(&produced)))
+	s.candidates.Add(uint64(produced.Load()))
 }
 
 // observeBinary ingests a framed binary /observe body: address frames

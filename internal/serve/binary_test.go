@@ -258,101 +258,127 @@ func TestGenerateBinaryEarlyErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestGenerateBatchBinary drives a 3-stream batch request over the
-// binary encoding and checks each demultiplexed stream is byte-for-byte
-// the single-stream response with the same seed, that Seed frames and
-// the X-Seed header agree, and that every stream Ends.
-func TestGenerateBatchBinary(t *testing.T) {
-	s, reg := newTestServer(t, Options{})
-	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	req := GenerateRequest{Streams: []GenerateStreamSpec{
-		{Count: 40, Seed: seedPtr(101)},
-		{Count: 40, Seed: seedPtr(202)},
-		{Count: 40, Seed: seedPtr(303)},
-	}}
-	w := doHeaders(t, s, "POST", "/v1/models/web/generate",
-		jsonBody(t, req), map[string]string{"Accept": wire.ContentType})
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
-	}
-	if got := w.Header().Get("X-Seed"); got != "101,202,303" {
-		t.Errorf("X-Seed = %q, want 101,202,303", got)
-	}
-	hdr, byStream, seeds, ended := binaryAddrs(t, w.Body)
-	if !hdr.Batch() || hdr.Streams != 3 || hdr.Seed != 101 {
-		t.Fatalf("header = %+v", hdr)
-	}
-	wantSeeds := []int64{101, 202, 303}
-	for i, want := range wantSeeds {
-		if seeds[i] != want {
-			t.Errorf("stream %d seed frame = %d, want %d", i, seeds[i], want)
-		}
-		if !ended[i] {
-			t.Errorf("stream %d missing End frame", i)
-		}
-		single := do(t, s, "POST", "/v1/models/web/generate",
-			GenerateRequest{Count: 40, Seed: seedPtr(want)})
-		if single.Code != http.StatusOK {
-			t.Fatalf("single status = %d", single.Code)
-		}
-		ref := ndjsonAddrs(t, single.Body, false)
-		if fmt.Sprint(byStream[i]) != fmt.Sprint(ref) {
-			t.Errorf("stream %d differs from single-stream generation with seed %d", i, want)
-		}
-	}
-}
-
-// TestGenerateBatchNDJSON drives a batch request in NDJSON and checks
-// the {"stream":i,...} line protocol: per-stream order matches the
-// single-stream response, and each stream closes with a done line.
-func TestGenerateBatchNDJSON(t *testing.T) {
-	s, reg := newTestServer(t, Options{})
-	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	req := GenerateRequest{Streams: []GenerateStreamSpec{
-		{Count: 30, Seed: seedPtr(11)},
-		{Count: 30, Seed: seedPtr(22)},
-	}}
-	w := do(t, s, "POST", "/v1/models/web/generate", req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
-	}
-	if got := w.Header().Get("X-Encoding"); got != "ndjson" {
-		t.Errorf("X-Encoding = %q", got)
-	}
+// ndjsonStreams parses an NDJSON generate body into per-stream
+// candidates and the set of streams that closed with a done line. Batch
+// lines must carry their stream index; single-stream lines belong to
+// stream 0. Error lines fail the test.
+func ndjsonStreams(t *testing.T, body *bytes.Buffer, batch, prefixes bool) (map[int][]string, map[int]bool) {
+	t.Helper()
 	byStream := map[int][]string{}
 	done := map[int]bool{}
-	sc := bufio.NewScanner(bytes.NewReader(w.Body.Bytes()))
+	sc := bufio.NewScanner(bytes.NewReader(body.Bytes()))
 	for sc.Scan() {
 		var item GenerateItem
 		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
 			t.Fatalf("bad line %q: %v", sc.Text(), err)
 		}
-		if item.Stream == nil {
-			t.Fatalf("batch line missing stream index: %q", sc.Text())
+		idx := 0
+		if batch {
+			if item.Stream == nil {
+				t.Fatalf("batch line missing stream index: %q", sc.Text())
+			}
+			idx = *item.Stream
 		}
 		switch {
 		case item.Error != "":
-			t.Fatalf("stream %d error: %s", *item.Stream, item.Error)
+			t.Fatalf("stream %d error: %s", idx, item.Error)
 		case item.Done:
-			done[*item.Stream] = true
+			done[idx] = true
+		case prefixes:
+			byStream[idx] = append(byStream[idx], item.Prefix)
 		default:
-			byStream[*item.Stream] = append(byStream[*item.Stream], item.Addr)
+			byStream[idx] = append(byStream[idx], item.Addr)
 		}
 	}
-	for i, seed := range []int64{11, 22} {
-		if !done[i] {
-			t.Errorf("stream %d missing done line", i)
-		}
-		single := do(t, s, "POST", "/v1/models/web/generate",
-			GenerateRequest{Count: 30, Seed: seedPtr(seed)})
-		ref := ndjsonAddrs(t, single.Body, false)
-		if fmt.Sprint(byStream[i]) != fmt.Sprint(ref) {
-			t.Errorf("stream %d differs from single-stream generation with seed %d", i, seed)
-		}
+	return byStream, done
+}
+
+// TestGenerateBatchBinary runs checkGenerateBatch over the binary
+// encoding.
+func TestGenerateBatchBinary(t *testing.T) { checkGenerateBatch(t, true) }
+
+// TestGenerateBatchNDJSON runs checkGenerateBatch over the
+// {"stream":i,...} NDJSON line protocol.
+func TestGenerateBatchNDJSON(t *testing.T) { checkGenerateBatch(t, false) }
+
+// checkGenerateBatch drives a 10-stream batch request — more streams
+// than maxConcurrentStreams, so the stream gate queues — in one encoding
+// for both candidate kinds. Each demultiplexed stream must equal the
+// single-stream response with the same seed in the same encoding, and
+// must close with its End frame (binary) or done line (NDJSON); binary
+// Seed frames and the X-Seed and X-Encoding headers must agree with the
+// request.
+func checkGenerateBatch(t *testing.T, binary bool) {
+	t.Helper()
+	s, reg := newTestServer(t, Options{})
+	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	const nStreams, count = 10, 40
+	var specs []GenerateStreamSpec
+	var seedStrs []string
+	for i := 0; i < nStreams; i++ {
+		seed := int64(101 * (i + 1))
+		specs = append(specs, GenerateStreamSpec{Count: count, Seed: seedPtr(seed)})
+		seedStrs = append(seedStrs, fmt.Sprint(seed))
+	}
+	wantEnc := "ndjson"
+	if binary {
+		wantEnc = "binary"
+	}
+	for _, prefixes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prefixes=%v", prefixes), func(t *testing.T) {
+			hdrs := map[string]string{}
+			if binary {
+				hdrs["Accept"] = wire.ContentType
+			}
+			// decode returns a response's per-stream candidates and
+			// which streams ended cleanly.
+			decode := func(w *httptest.ResponseRecorder, batch bool) (map[int][]string, map[int]bool) {
+				t.Helper()
+				if w.Code != http.StatusOK {
+					t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+				}
+				if !binary {
+					return ndjsonStreams(t, w.Body, batch, prefixes)
+				}
+				hdr, byStream, seeds, ended := binaryAddrs(t, w.Body)
+				if hdr.Batch() != batch || hdr.Prefixes() != prefixes {
+					t.Fatalf("header = %+v, want batch=%v prefixes=%v", hdr, batch, prefixes)
+				}
+				if batch {
+					if hdr.Streams != nStreams || hdr.Seed != *specs[0].Seed {
+						t.Fatalf("header = %+v", hdr)
+					}
+					for i, sp := range specs {
+						if seeds[i] != *sp.Seed {
+							t.Errorf("stream %d seed frame = %d, want %d", i, seeds[i], *sp.Seed)
+						}
+					}
+				}
+				return byStream, ended
+			}
+			w := doHeaders(t, s, "POST", "/v1/models/web/generate",
+				jsonBody(t, GenerateRequest{Streams: specs, Prefixes: prefixes}), hdrs)
+			if got, want := w.Header().Get("X-Seed"), strings.Join(seedStrs, ","); got != want {
+				t.Errorf("X-Seed = %q, want %q", got, want)
+			}
+			if got := w.Header().Get("X-Encoding"); got != wantEnc {
+				t.Errorf("X-Encoding = %q, want %q", got, wantEnc)
+			}
+			byStream, ended := decode(w, true)
+			for i, sp := range specs {
+				if !ended[i] {
+					t.Errorf("stream %d did not end with its End frame or done line", i)
+				}
+				single := doHeaders(t, s, "POST", "/v1/models/web/generate",
+					jsonBody(t, GenerateRequest{Count: count, Seed: sp.Seed, Prefixes: prefixes}), hdrs)
+				ref, _ := decode(single, false)
+				if len(ref[0]) == 0 || fmt.Sprint(byStream[i]) != fmt.Sprint(ref[0]) {
+					t.Errorf("stream %d differs from single-stream generation with seed %d", i, *sp.Seed)
+				}
+			}
+		})
 	}
 }
 

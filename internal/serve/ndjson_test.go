@@ -49,8 +49,10 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestGenerateNDJSONLinesMatchEncodingJSON pins each stream line shape
-// against the exact bytes the old json.Encoder produced for GenerateItem.
+// TestGenerateNDJSONLinesMatchEncodingJSON pins each single-stream line
+// shape the ndjsonWriter emits against the exact bytes the old
+// json.Encoder produced for GenerateItem, and checks that every batch
+// line shape is valid JSON tagged with its stream.
 func TestGenerateNDJSONLinesMatchEncodingJSON(t *testing.T) {
 	oldLine := func(item GenerateItem) []byte {
 		var buf bytes.Buffer
@@ -59,28 +61,62 @@ func TestGenerateNDJSONLinesMatchEncodingJSON(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for _, a := range testAddrs(200, 7) {
-		got := append([]byte(`{"addr":"`), a.AppendString(nil)...)
-		got = append(got, '"', '}', '\n')
-		if want := oldLine(GenerateItem{Addr: a.String()}); !bytes.Equal(got, want) {
-			t.Fatalf("addr line = %q, old encoder = %q", got, want)
+	var got bytes.Buffer
+	var nw ndjsonWriter
+	check := func(what string, write func() error, item GenerateItem) {
+		t.Helper()
+		got.Reset()
+		if err := write(); err != nil {
+			t.Fatal(err)
 		}
-		p := ip6.Prefix64(a)
-		got = append([]byte(`{"prefix":"`), p.AppendString(nil)...)
-		got = append(got, '"', '}', '\n')
-		if want := oldLine(GenerateItem{Prefix: p.String()}); !bytes.Equal(got, want) {
-			t.Fatalf("prefix line = %q, old encoder = %q", got, want)
+		if want := oldLine(item); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s line = %q, old encoder = %q", what, got.Bytes(), want)
 		}
 	}
+	nw.Reset(&got, 0, false, "", 1)
+	for _, a := range testAddrs(200, 7) {
+		check("addr", func() error { return nw.AddAddr(a) }, GenerateItem{Addr: a.String()})
+		p := ip6.Prefix64(a)
+		check("prefix", func() error { return nw.AddPrefix(p) }, GenerateItem{Prefix: p.String()})
+	}
+	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
 	for _, msg := range escapeCorpus {
-		got := appendErrorLine(nil, msg, "")
-		if want := oldLine(GenerateItem{Error: msg}); !bytes.Equal(got, want) {
-			t.Fatalf("error line for %q = %q, old encoder = %q", msg, got, want)
+		for _, traceID := range []string{"", tid} {
+			nw.Reset(&got, 0, false, traceID, 1)
+			check("error", func() error { return nw.Error(msg) }, GenerateItem{Error: msg, TraceID: traceID})
 		}
-		got = appendErrorLine(nil, msg, "4bf92f3577b34da6a3ce929d0e0e4736")
-		want := oldLine(GenerateItem{Error: msg, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736"})
-		if !bytes.Equal(got, want) {
-			t.Fatalf("traced error line for %q = %q, old encoder = %q", msg, got, want)
+	}
+	got.Reset()
+	if err := nw.End(); err != nil || got.Len() != 0 {
+		t.Fatalf("single-stream End wrote %q (err %v), want nothing", got.Bytes(), err)
+	}
+
+	// Batch lines: every shape, the empty error message included, decodes
+	// as JSON carrying the stream index.
+	got.Reset()
+	nw.Reset(&got, 3, true, tid, 2)
+	a := testAddrs(1, 8)[0]
+	for _, write := range []func() error{
+		func() error { return nw.AddAddr(a) },
+		func() error { return nw.AddPrefix(ip6.Prefix64(a)) },
+		func() error { return nw.Error("") },
+		func() error { return nw.End() },
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := bytes.Split(bytes.TrimSuffix(got.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) != 4 {
+		t.Fatalf("batch writer emitted %d lines, want 4: %q", len(lines), got.Bytes())
+	}
+	for _, line := range lines {
+		var item GenerateItem
+		if err := json.Unmarshal(line, &item); err != nil {
+			t.Fatalf("batch line %q: %v", line, err)
+		}
+		if item.Stream == nil || *item.Stream != 3 {
+			t.Fatalf("batch line %q lacks stream 3", line)
 		}
 	}
 }

@@ -459,7 +459,14 @@ func TestGenerateWorkersParam(t *testing.T) {
 			t.Errorf("workers=%d: stream differs from workers=1", workers)
 		}
 	}
-	w := do(t, s, "POST", "/v1/models/web/generate",
+	// An old client's "unordered" key is accepted and ignored: every
+	// stream is ordered.
+	w := doHeaders(t, s, "POST", "/v1/models/web/generate",
+		[]byte(`{"count":2000,"seed":11,"workers":2,"unordered":true}`), nil)
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
+		t.Errorf("unordered=true: status %d, stream differs from the ordered one", w.Code)
+	}
+	w = do(t, s, "POST", "/v1/models/web/generate",
 		GenerateRequest{Count: 10, Workers: MaxGenerateWorkers + 1})
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("over-limit workers: status %d, want 400", w.Code)

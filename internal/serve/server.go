@@ -50,6 +50,7 @@ import (
 	"entropyip/internal/obs"
 	"entropyip/internal/obs/trace"
 	"entropyip/internal/registry"
+	"entropyip/internal/wire"
 )
 
 // Defaults used when Options fields are zero.
@@ -58,7 +59,7 @@ const (
 	DefaultQueueDepth       = 8
 	DefaultMaxBodyBytes     = 64 << 20 // 64 MiB of addresses or model JSON
 	DefaultMaxGenerateCount = 10_000_000
-	DefaultFlushEvery       = 512 // NDJSON lines between explicit flushes
+	DefaultFlushEvery       = 512 // candidates between explicit flushes
 )
 
 // Options configures the HTTP server.
@@ -76,8 +77,9 @@ type Options struct {
 	// MaxGenerateCount caps the count of one generate request. Zero means
 	// DefaultMaxGenerateCount.
 	MaxGenerateCount int
-	// FlushEvery is the number of NDJSON lines written between explicit
-	// flushes while streaming. Zero means DefaultFlushEvery.
+	// FlushEvery is the number of candidates (NDJSON lines or binary
+	// records) written between explicit flushes while streaming, at most
+	// wire.MaxFrameRecords. Zero means DefaultFlushEvery.
 	FlushEvery int
 	// TrainWorkers is the default per-training-job parallelism (the
 	// core.Options.Workers each server-side build runs with) when a
@@ -90,7 +92,7 @@ type Options struct {
 	// (core.GenerateOptions.Workers) when a generate request does not ask
 	// for a specific value. Zero means all cores. The emitted candidate
 	// stream is identical for any value (generation is deterministic
-	// across worker counts unless the request sets unordered).
+	// across worker counts).
 	GenerateWorkers int
 	// Refresh configures the online ingest + drift detection + automatic
 	// model refresh loop behind POST /v1/models/{name}/observe. The zero
@@ -145,8 +147,11 @@ func (o Options) maxGenerateCount() int {
 }
 
 func (o Options) flushEvery() int {
-	if o.FlushEvery <= 0 {
+	switch {
+	case o.FlushEvery <= 0:
 		return DefaultFlushEvery
+	case o.FlushEvery > wire.MaxFrameRecords:
+		return wire.MaxFrameRecords
 	}
 	return o.FlushEvery
 }
@@ -767,17 +772,14 @@ type GenerateRequest struct {
 	// capped at MaxGenerateWorkers (requests are untrusted and a worker
 	// count is a CPU multiplier). Zero selects the server's default
 	// (Options.GenerateWorkers). The candidate stream is identical for
-	// any value unless Unordered is set.
+	// any value.
 	Workers int `json:"workers,omitempty"`
-	// Unordered trades the deterministic candidate order for throughput;
-	// see core.GenerateOptions.Unordered.
-	Unordered bool `json:"unordered,omitempty"`
 	// Streams switches to batch mode: each entry describes one
 	// independently-seeded candidate stream, and the response carries all
 	// of them interleaved (frames tagged with a stream index in the binary
 	// encoding, {"stream":i,...} lines in NDJSON). Mutually exclusive with
 	// the top-level Count/Seed/Evidence/MaxAttemptsFactor; Version,
-	// Prefixes, Workers and Unordered stay request-wide.
+	// Prefixes and Workers stay request-wide.
 	Streams []GenerateStreamSpec `json:"streams,omitempty"`
 }
 
@@ -888,107 +890,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// replayed exactly by passing the header's value(s) back as "seed".
 	w.Header().Set("X-Seed", seedHeader(streams))
 	w.Header().Set("X-Encoding", enc.String())
-	switch {
-	case enc == encBinary:
-		s.generateBinary(w, r, m, &req, streams, batch, releaseSlot)
-	case batch:
-		s.generateNDJSONBatch(w, r, m, &req, streams, releaseSlot)
-	default:
-		s.generateNDJSON(w, r, m, info, &req, streams[0], releaseSlot)
-	}
-}
-
-// generateNDJSON is the single-stream NDJSON generate path — the
-// original wire format, byte-identical since PR 5 (pinned by
-// TestGenerateNDJSONMatchesEncodingJSON and the cross-encoding
-// equivalence tests).
-func (s *Server) generateNDJSON(w http.ResponseWriter, r *http.Request, m *core.Model, info registry.Info, req *GenerateRequest, st resolvedStream, release func()) {
-	defer release()
-	ctx := r.Context()
-	opts := s.generateOptions(ctx, st, req)
-	span := requestSpan(ctx).StartChild("generate.stream")
-	span.SetInt("count", int64(st.count))
-	span.SetInt("seed", st.seed)
-	bw := bufio.NewWriter(w)
-	flusher, _ := w.(http.Flusher)
-	flushEvery := s.opts.flushEvery()
-
-	// Each line is formatted into one pooled buffer with append-style
-	// address formatting — no encoding/json, no per-line allocations —
-	// byte-identical to the old json.Encoder output (pinned by
-	// TestGenerateNDJSONMatchesEncodingJSON). The buffer returns to the
-	// pool when the handler exits.
-	lb := getLineBuf()
-	defer putLineBuf(lb)
-	lines := 0
-	write := func() bool {
-		if ctx.Err() != nil {
-			return false // client went away: stop generating
-		}
-		if _, err := bw.Write(lb.b); err != nil {
-			return false
-		}
-		lines++
-		if lines%flushEvery == 0 {
-			if err := bw.Flush(); err != nil {
-				return false
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		return true
-	}
-
-	var err error
-	if req.Prefixes {
-		err = m.GeneratePrefixesStream(opts, func(p ip6.Prefix) bool {
-			lb.b = append(lb.b[:0], `{"prefix":"`...)
-			lb.b = p.AppendString(lb.b)
-			lb.b = append(lb.b, '"', '}', '\n')
-			return write()
-		})
-	} else {
-		err = m.GenerateStream(opts, func(a ip6.Addr) bool {
-			lb.b = append(lb.b[:0], `{"addr":"`...)
-			lb.b = a.AppendString(lb.b)
-			lb.b = append(lb.b, '"', '}', '\n')
-			return write()
-		})
-	}
-	span.SetInt("produced", int64(lines))
-	if err != nil {
-		span.SetError(err.Error())
-		span.Finish()
-		if lines == 0 {
-			// Nothing streamed yet: a clean JSON error is still possible.
-			writeError(w, r, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// Mid-stream failure: the 200 status is already on the wire, so
-		// emit an error trailer line carrying the trace ID — the client's
-		// handle into /v1/debug/traces and the server logs — that it can
-		// distinguish from a legitimately short stream.
-		s.logger.Error("generate failed mid-stream",
-			"request_id", requestID(ctx),
-			"trace_id", traceIDString(ctx),
-			"model", info.Name,
-			"version", info.Version,
-			"lines", lines,
-			"err", err)
-		lb.b = appendErrorLine(lb.b[:0], err.Error(), traceIDString(ctx))
-		_, _ = bw.Write(lb.b)
-	} else {
-		if ctx.Err() == nil && s.isDraining() && lines < st.count {
-			// Drain cut the stream short: emit the in-band shutdown error
-			// so the client can tell this from exhausted model support.
-			lb.b = appendErrorLine(lb.b[:0], drainMessage, traceIDString(ctx))
-			_, _ = bw.Write(lb.b)
-		}
-		span.Finish()
-	}
-	_ = bw.Flush()
-	s.candidates.Add(uint64(lines))
+	s.generateStreams(w, r, m, enc, &req, streams, batch, releaseSlot)
 }
 
 // randomSeed derives a fresh generation seed for requests that omit one.
