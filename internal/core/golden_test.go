@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -19,7 +20,14 @@ const goldenCount = 100_000
 // (the paper's "train on 1K" setting) of a synthetic population, seed 1.
 func goldenModel(t *testing.T, dataset string, opts Options) *Model {
 	t.Helper()
-	addrs, err := synth.Generate(dataset, 1000, 1)
+	return goldenModelN(t, dataset, 1000, opts)
+}
+
+// goldenModelN trains a model on n addresses of a synthetic population,
+// seed 1.
+func goldenModelN(t *testing.T, dataset string, n int, opts Options) *Model {
+	t.Helper()
+	addrs, err := synth.Generate(dataset, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +147,48 @@ func TestGoldenStreams(t *testing.T) {
 				n, hash := tc.run(opts)
 				if n != tc.count || hash != tc.hash {
 					t.Errorf("stream changed: got %d candidates sha256 %s, want %d sha256 %s", n, hash, tc.count, tc.hash)
+				}
+			})
+		}
+	}
+}
+
+// TestGoldenModels pins the SHA-256 of the saved model JSON of fixed
+// builds. Training may change in any way that keeps these hashes; a change
+// here alters every model trained from the same addresses. Every build is
+// checked at Workers 1 and GOMAXPROCS.
+func TestGoldenModels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden models train on up to 100k addresses")
+	}
+	cases := []struct {
+		name    string
+		dataset string
+		n       int
+		opts    Options
+		hash    string
+	}{
+		{name: "S5-1k", dataset: "S5", n: 1000, hash: "70e92871c8b8d15612a2f8ed7a7a534bc32560ae7f75362d3d229d4b39163c8c"},
+		{
+			name: "S1-1k-forced40", dataset: "S1", n: 1000,
+			opts: Options{Segmentation: segment.Config{ForcedBoundaries: []int{40}}},
+			hash: "b8f57e752f96ee3bb28b589be3da82a23375662c5c3636f3ee30edff93c36af6",
+		},
+		// The refresh workload's training size.
+		{name: "C1-100k", dataset: "C1", n: 100_000, hash: "3267d2bcaa44211cd697a00d715c60e0839fa8a7c946bb102bbc727a328f5961"},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				opts := tc.opts
+				opts.Workers = workers
+				var buf bytes.Buffer
+				if err := goldenModelN(t, tc.dataset, tc.n, opts).Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != tc.hash {
+					t.Errorf("model JSON changed: sha256 %s, want %s", got, tc.hash)
 				}
 			})
 		}
