@@ -128,7 +128,7 @@ func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	//eip:nondeterministic-ok stopwatch start for the OnStage observer; no timestamp enters the model
 	now := time.Now()
 	profile := entropy.NewProfileWorkers(train, workers)
-	acr := mra.NewWorkers(train, workers)
+	acr := mra.New(train)
 	now = buildStage(opts.OnStage, "entropy", now)
 	sg := segment.Segments(profile, segCfg)
 	if err := sg.Validate(); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"entropyip/internal/bayes"
 	"entropyip/internal/entropy"
+	"entropyip/internal/ip6"
 	"entropyip/internal/mining"
 	"entropyip/internal/mra"
 	"entropyip/internal/segment"
@@ -208,14 +209,9 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		copy(profile.Counts[i][:], row)
 	}
 
-	acr := &mra.Series{N: in.ACRAddrs}
-	copy(acr.Counts[:], in.ACRCounts)
-	for d := 1; d <= len(acr.ACR); d++ {
-		prev, cur := acr.Counts[d-1], acr.Counts[d]
-		if cur > 0 && prev > 0 {
-			acr.ACR[d-1] = 1 - float64(prev)/float64(cur)
-		}
-	}
+	var acrCounts [ip6.NybbleCount + 1]int
+	copy(acrCounts[:], in.ACRCounts)
+	acr := mra.FromCounts(acrCounts, in.ACRAddrs)
 
 	var segs []segment.Segment
 	var models []*mining.SegmentModel

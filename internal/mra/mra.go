@@ -14,13 +14,18 @@
 // at depth d−1 splits into many aggregates at depth d. This matches the
 // qualitative reading used in the paper: "the higher the ACR value, the
 // more pertinent to prefix discrimination a given segment is."
+//
+// New derives the counts from one sort of the addresses (see New);
+// FromCounts rebuilds a series from saved counts, so the ACR formula lives
+// only here.
 package mra
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"entropyip/internal/ip6"
-	"entropyip/internal/parallel"
 )
 
 // Series holds prefix counts and ACR values for a dataset at every 4-bit
@@ -35,162 +40,69 @@ type Series struct {
 	N int
 }
 
-// New computes the ACR series for the given addresses, using all
-// available cores. The result is identical for any worker count; use
-// NewWorkers to bound concurrency.
-func New(addrs []ip6.Addr) *Series {
-	return NewWorkers(addrs, 0)
-}
+// word is an address as its high and low 64-bit halves; ordering words by
+// (hi, lo) is address order.
+type word struct{ hi, lo uint64 }
 
-// NewWorkers is New with bounded concurrency (<= 0 selects GOMAXPROCS).
+// New computes the ACR series for the given addresses.
 //
-// The parallel path does not build the trie at all: it sorts a copy of
-// the addresses (shards sorted concurrently, then merged) and takes the
-// histogram of common-prefix lengths of adjacent sorted pairs. The number
-// of distinct d-nybble prefixes is then
+// It sorts a copy of the addresses and takes the common-prefix length of
+// every adjacent sorted pair. The number of distinct d-nybble prefixes is
+// then
 //
 //	counts[d] = 1 + #{adjacent pairs with LCP < d nybbles},
 //
 // because in sorted order every new d-prefix starts exactly where an
-// adjacent pair first differs before depth d. This is skew-immune — real
-// IPv6 data concentrates under 2000::/3, which starves any partition of
-// the address space's top levels — and everything merged is an integer
-// histogram folded in shard order, so the series is bit-identical to the
-// sequential trie's for any worker count.
-func NewWorkers(addrs []ip6.Addr, workers int) *Series {
-	w := parallel.Workers(workers)
-	// The sequential trie wins on one core and on inputs too small to
-	// amortize the sort's copy.
-	if w <= 1 || len(addrs) < 2048 {
-		c := ip6.NewPrefixCounter()
-		c.AddAll(addrs)
-		return FromCounter(c)
+// adjacent pair first differs before depth d. The sorted order of a
+// multiset is unique, so the series depends only on the addresses.
+func New(addrs []ip6.Addr) *Series {
+	var counts [ip6.NybbleCount + 1]int
+	if len(addrs) == 0 {
+		return FromCounts(counts, 0)
 	}
-	sorted := make([]ip6.Addr, len(addrs))
-	copy(sorted, addrs)
-	sortAddrs(sorted, w)
-
-	type lcpHist [ip6.NybbleCount + 1]int
-	parts := parallel.MapShards(w, len(sorted)-1, func(sh parallel.Shard) *lcpHist {
-		var h lcpHist
-		for i := sh.Start; i < sh.End; i++ {
-			h[lcpNybbles(sorted[i], sorted[i+1])]++
+	words := make([]word, len(addrs))
+	for i, a := range addrs {
+		words[i].hi, words[i].lo = a.Uint64s()
+	}
+	slices.SortFunc(words, func(a, b word) int {
+		if c := cmp.Compare(a.hi, b.hi); c != 0 {
+			return c
 		}
-		return &h
+		return cmp.Compare(a.lo, b.lo)
 	})
-	var hist lcpHist
-	for _, p := range parts {
-		for l, c := range p {
-			hist[l] += c
-		}
+	// lcp[l] is the number of adjacent pairs whose LCP is exactly l
+	// nybbles; those pairs first differ before every depth d > l.
+	var lcp [ip6.NybbleCount + 1]int
+	for i := 1; i < len(words); i++ {
+		lcp[lcpNybbles(words[i-1], words[i])]++
 	}
-
-	s := &Series{N: len(addrs)}
-	s.Counts[0] = 1
-	cum := 0
+	counts[0] = 1
 	for d := 1; d <= ip6.NybbleCount; d++ {
-		cum += hist[d-1] // pairs whose LCP is exactly d-1 first differ before depth d
-		s.Counts[d] = 1 + cum
+		counts[d] = counts[d-1] + lcp[d-1]
 	}
-	fillACR(s)
-	return s
+	return FromCounts(counts, len(addrs))
 }
 
 // lcpNybbles returns the length, in nybbles, of the longest common prefix
 // of two addresses (32 for equal addresses).
-func lcpNybbles(a, b ip6.Addr) int {
-	ab, bb := a.Bytes(), b.Bytes()
-	for i := 0; i < 16; i++ {
-		if ab[i] != bb[i] {
-			if ab[i]>>4 == bb[i]>>4 {
-				return 2*i + 1
-			}
-			return 2 * i
-		}
+func lcpNybbles(a, b word) int {
+	if x := a.hi ^ b.hi; x != 0 {
+		return bits.LeadingZeros64(x) / 4
 	}
-	return ip6.NybbleCount
+	return 16 + bits.LeadingZeros64(a.lo^b.lo)/4
 }
 
-// sortAddrs sorts the slice in place: contiguous shards are sorted
-// concurrently, then merged pairwise in rounds, with the merges of each
-// round also running concurrently. The fully sorted result is unique for
-// a given multiset, so the outcome is independent of the worker count.
-func sortAddrs(a []ip6.Addr, workers int) {
-	shards := parallel.Shards(len(a), workers)
-	if len(shards) <= 1 {
-		sort.Slice(a, func(i, j int) bool { return a[i].Less(a[j]) })
-		return
-	}
-	parallel.ForEach(len(shards), len(shards), func(i int) {
-		sub := a[shards[i].Start:shards[i].End]
-		sort.Slice(sub, func(x, y int) bool { return sub[x].Less(sub[y]) })
-	})
-	buf := make([]ip6.Addr, len(a))
-	src, dst := a, buf
-	for len(shards) > 1 {
-		pairs := (len(shards) + 1) / 2
-		next := make([]parallel.Shard, pairs)
-		for j := 0; j < pairs; j++ {
-			lo := shards[2*j]
-			if 2*j+1 < len(shards) {
-				next[j] = parallel.Shard{Start: lo.Start, End: shards[2*j+1].End}
-			} else {
-				next[j] = lo
-			}
-		}
-		parallel.ForEach(pairs, pairs, func(j int) {
-			out := dst[next[j].Start:next[j].End]
-			if 2*j+1 >= len(shards) {
-				copy(out, src[next[j].Start:next[j].End])
-				return
-			}
-			l, r := shards[2*j], shards[2*j+1]
-			mergeAddrs(out, src[l.Start:l.End], src[r.Start:r.End])
-		})
-		shards = next
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-}
-
-// mergeAddrs merges two sorted runs into dst (len(dst) = len(left) +
-// len(right)).
-func mergeAddrs(dst, left, right []ip6.Addr) {
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if right[j].Less(left[i]) {
-			dst[k] = right[j]
-			j++
-		} else {
-			dst[k] = left[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], left[i:])
-	copy(dst[k:], right[j:])
-}
-
-// FromCounter computes the ACR series from an already-populated prefix
-// counter.
-func FromCounter(c *ip6.PrefixCounter) *Series {
-	s := &Series{Counts: c.Counts(), N: c.Addrs()}
-	fillACR(s)
-	return s
-}
-
-// fillACR derives the ACR values from the prefix counts.
-func fillACR(s *Series) {
+// FromCounts returns the series for the given distinct-prefix counts of n
+// addresses, deriving the ACR of every nybble from the counts.
+func FromCounts(counts [ip6.NybbleCount + 1]int, n int) *Series {
+	s := &Series{Counts: counts, N: n}
 	for d := 1; d <= ip6.NybbleCount; d++ {
-		prev, cur := s.Counts[d-1], s.Counts[d]
-		if cur <= 0 || prev <= 0 {
-			s.ACR[d-1] = 0
-			continue
+		prev, cur := counts[d-1], counts[d]
+		if cur > 0 && prev > 0 {
+			s.ACR[d-1] = 1 - float64(prev)/float64(cur)
 		}
-		s.ACR[d-1] = 1 - float64(prev)/float64(cur)
 	}
+	return s
 }
 
 // AggregatesAt returns the number of distinct prefixes of the given bit

@@ -1,10 +1,12 @@
 package mra
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"entropyip/internal/ip6"
+	"entropyip/internal/synth"
 )
 
 func TestNewSinglePrefix(t *testing.T) {
@@ -28,8 +30,8 @@ func TestNewSinglePrefix(t *testing.T) {
 
 func TestNewEmpty(t *testing.T) {
 	s := New(nil)
-	if s.N != 0 {
-		t.Errorf("N = %d", s.N)
+	if s.N != 0 || s.Counts != [ip6.NybbleCount + 1]int{} {
+		t.Errorf("N = %d, Counts = %v, want all zero", s.N, s.Counts)
 	}
 	for _, v := range s.ACR {
 		if v != 0 {
@@ -139,13 +141,102 @@ func TestAggregatesAtEdges(t *testing.T) {
 	}
 }
 
-func TestFromCounter(t *testing.T) {
-	c := ip6.NewPrefixCounter()
-	c.Add(ip6.MustParseAddr("2001:db8:1::1"))
-	c.Add(ip6.MustParseAddr("2001:db8:2::1"))
-	s := FromCounter(c)
-	if s.N != 2 || s.Counts[12] != 2 {
-		t.Errorf("FromCounter: N=%d Counts[12]=%d", s.N, s.Counts[12])
+func TestFromCounts(t *testing.T) {
+	var counts [ip6.NybbleCount + 1]int
+	for d := range counts {
+		counts[d] = 1
+	}
+	for d := 12; d <= ip6.NybbleCount; d++ {
+		counts[d] = 2
+	}
+	s := FromCounts(counts, 2)
+	if s.N != 2 || s.Counts != counts {
+		t.Errorf("FromCounts: N=%d Counts=%v", s.N, s.Counts)
+	}
+	for i, v := range s.ACR {
+		want := 0.0
+		if i == 11 {
+			want = 0.5 // counts go from 1 to 2 at depth 12
+		}
+		if v != want {
+			t.Errorf("ACR[%d] = %v, want %v", i, v, want)
+		}
+	}
+	if got := FromCounts([ip6.NybbleCount + 1]int{}, 0); got.ACR != [ip6.NybbleCount]float64{} {
+		t.Errorf("zero counts: ACR = %v, want all zero", got.ACR)
+	}
+}
+
+func TestNewPrefixCounts(t *testing.T) {
+	addrs := []ip6.Addr{
+		ip6.MustParseAddr("2001:db8:1::1"),
+		ip6.MustParseAddr("2001:db8:1::2"),
+		ip6.MustParseAddr("2001:db8:2::1"),
+		ip6.MustParseAddr("3001:db8::1"),
+		ip6.MustParseAddr("2001:db8:1::2"), // duplicates count once
+	}
+	s := New(addrs)
+	if s.N != 5 {
+		t.Errorf("N = %d, want 5", s.N)
+	}
+	// Root; first nybble "2" and "3"; 48 bits: 2001:db8:1, 2001:db8:2,
+	// 3001:db8:0; full length: 4 distinct addresses.
+	for d, want := range map[int]int{0: 1, 1: 2, 12: 3, 32: 4} {
+		if got := s.Counts[d]; got != want {
+			t.Errorf("Counts[%d] = %d, want %d", d, got, want)
+		}
+	}
+}
+
+// distinctMasks is the brute-force oracle for New's counts: for every
+// depth, the number of distinct addresses masked to 4·d bits.
+func distinctMasks(addrs []ip6.Addr) [ip6.NybbleCount + 1]int {
+	var counts [ip6.NybbleCount + 1]int
+	for d := range counts {
+		set := ip6.NewSet(len(addrs))
+		for _, a := range addrs {
+			set.Add(ip6.Mask(a, 4*d))
+		}
+		counts[d] = set.Len()
+	}
+	return counts
+}
+
+// TestNewMatchesDistinctMasks checks the sorted-LCP counts against the
+// brute-force oracle on a spread population with duplicates, a realistic
+// skewed one (everything under a single /32) and synthetic datasets of
+// several sizes.
+func TestNewMatchesDistinctMasks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	spread := make([]ip6.Addr, 20_000)
+	for i := range spread {
+		// Many first nybbles, low-entropy tails, duplicates.
+		spread[i] = ip6.AddrFromUint64s(rng.Uint64(), rng.Uint64()&0xff)
+	}
+	base := ip6.MustParseAddr("2001:db8::")
+	skewed := make([]ip6.Addr, 20_000)
+	for i := range skewed {
+		a := base
+		a = a.SetField(8, 4, uint64(rng.Intn(64)))
+		a = a.SetField(16, 16, rng.Uint64()&0xffffffff)
+		skewed[i] = a
+	}
+	inputs := map[string][]ip6.Addr{"spread": spread, "skewed": skewed}
+	for _, ds := range []string{"S1", "S5", "R1", "C1", "AS"} {
+		inputs[ds+"/0"] = nil
+		for _, n := range []int{1, 2, 1000, 20_000} {
+			addrs, err := synth.Generate(ds, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs[fmt.Sprintf("%s/%d", ds, n)] = addrs
+		}
+	}
+	for name, addrs := range inputs {
+		got := New(addrs)
+		if want := distinctMasks(addrs); got.N != len(addrs) || got.Counts != want {
+			t.Errorf("%s: N=%d Counts=%v, want N=%d Counts=%v", name, got.N, got.Counts, len(addrs), want)
+		}
 	}
 }
 
