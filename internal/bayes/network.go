@@ -146,11 +146,11 @@ func (c LearnConfig) maxParentConfigs() int {
 // matrix with one row per observation and one column per variable; values
 // must lie in [0, arity). vars supplies names and arities in column order.
 //
-// Learning runs on up to cfg.Workers goroutines (0 = GOMAXPROCS): data
-// validation and CPT counting shard the rows, and structure search scores
-// candidate parent sets concurrently. The learned network is bit-identical
-// for any worker count — integer counts merge exactly, and the candidate
-// selection replays the sequential visitation order.
+// Learning runs on up to cfg.Workers goroutines (0 = GOMAXPROCS): CPT
+// counting shards the rows, and structure search scores candidate parent
+// sets concurrently. The learned network is bit-identical for any worker
+// count — integer counts merge exactly, and the candidate selection
+// replays the sequential visitation order.
 func Learn(data [][]int, vars []Variable, cfg LearnConfig) (*Network, error) {
 	n := len(vars)
 	workers := parallel.Workers(cfg.Workers)
@@ -159,25 +159,15 @@ func Learn(data [][]int, vars []Variable, cfg LearnConfig) (*Network, error) {
 			return nil, fmt.Errorf("bayes: variable %q has non-positive arity", v.Name)
 		}
 	}
-	// Validate rows in contiguous shards; each shard reports its first bad
-	// row, and the lowest shard wins, so the error matches a sequential
-	// scan's.
-	err := parallel.ForEachShardErr(nil, workers, len(data), func(s parallel.Shard) error {
-		for r := s.Start; r < s.End; r++ {
-			row := data[r]
-			if len(row) != n {
-				return fmt.Errorf("bayes: row %d has %d columns, want %d", r, len(row), n)
-			}
-			for i, v := range row {
-				if v < 0 || v >= vars[i].Arity {
-					return fmt.Errorf("bayes: row %d column %d value %d out of range [0,%d)", r, i, v, vars[i].Arity)
-				}
+	for r, row := range data {
+		if len(row) != n {
+			return nil, fmt.Errorf("bayes: row %d has %d columns, want %d", r, len(row), n)
+		}
+		for i, v := range row {
+			if v < 0 || v >= vars[i].Arity {
+				return nil, fmt.Errorf("bayes: row %d column %d value %d out of range [0,%d)", r, i, v, vars[i].Arity)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	net := &Network{
@@ -362,26 +352,22 @@ func fitCPT(data [][]int, vars []Variable, node int, parents []int, pseudocount 
 	cpt := &CPT{ParentCard: parentCard, Arity: r}
 	q := cpt.NumRows()
 
-	counts := parallel.MapReduce(workers, len(data),
-		func(s parallel.Shard) []int {
-			c := make([]int, q*r)
-			for _, obs := range data[s.Start:s.End] {
-				j := 0
-				for _, p := range parents {
-					j = j*vars[p].Arity + obs[p]
-				}
-				c[j*r+obs[node]]++
+	parts := parallel.MapShards(workers, len(data), func(s parallel.Shard) []int {
+		c := make([]int, q*r)
+		for _, obs := range data[s.Start:s.End] {
+			j := 0
+			for _, p := range parents {
+				j = j*vars[p].Arity + obs[p]
 			}
-			return c
-		},
-		func(into, from []int) []int {
-			for i, v := range from {
-				into[i] += v
-			}
-			return into
-		})
-	if counts == nil {
-		counts = make([]int, q*r)
+			c[j*r+obs[node]]++
+		}
+		return c
+	})
+	counts := make([]int, q*r)
+	for _, c := range parts {
+		for i, v := range c {
+			counts[i] += v
+		}
 	}
 
 	cpt.Rows = make([][]float64, q)

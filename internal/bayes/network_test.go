@@ -151,6 +151,21 @@ func TestLearnInputValidation(t *testing.T) {
 	if _, err := Learn(nil, []Variable{{Name: "A", Arity: 0}}, LearnConfig{}); err == nil {
 		t.Error("expected error for zero arity")
 	}
+	// Several invalid rows of both kinds: the error names the lowest.
+	rows := make([][]int, 100)
+	for r := range rows {
+		rows[r] = []int{r % 2}
+	}
+	rows[90] = []int{0, 1}
+	rows[70] = []int{-1}
+	rows[40] = []int{7}
+	rows[60] = []int{1, 0}
+	for _, workers := range []int{1, 4} {
+		_, err := Learn(rows, vars, LearnConfig{Workers: workers})
+		if want := "bayes: row 40 column 0 value 7 out of range [0,2)"; err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+	}
 	// Empty data is allowed: uniform CPTs from smoothing.
 	net, err := Learn(nil, vars, LearnConfig{})
 	if err != nil {

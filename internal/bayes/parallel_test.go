@@ -82,8 +82,8 @@ func TestLearnWorkersEquivalentBIC(t *testing.T) {
 	}
 }
 
-// TestLearnValidationErrorMatchesSequential checks that sharded validation
-// reports the same first-bad-row error a sequential scan would.
+// TestLearnValidationErrorMatchesSequential checks that validation reports
+// the first bad row for any worker count.
 func TestLearnValidationErrorMatchesSequential(t *testing.T) {
 	data, vars := correlatedData(3000, 3)
 	data[1234][2] = 99 // first invalid row

@@ -1,11 +1,10 @@
 package parallel
 
 import (
-	"context"
-	"errors"
-	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -87,48 +86,6 @@ func TestMapDeterministic(t *testing.T) {
 	}
 }
 
-func TestForEachErrReturnsFirstError(t *testing.T) {
-	// Every index >= 100 fails; the reported error must be index 100's,
-	// exactly as a sequential loop would report, for any worker count.
-	for _, workers := range []int{1, 2, 8} {
-		err := ForEachErr(context.Background(), workers, 1000, func(i int) error {
-			if i >= 100 {
-				return fmt.Errorf("fail at %d", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "fail at 100" {
-			t.Fatalf("workers=%d: err = %v, want fail at 100", workers, err)
-		}
-	}
-}
-
-func TestForEachErrNilOnSuccess(t *testing.T) {
-	if err := ForEachErr(context.Background(), 4, 100, func(int) error { return nil }); err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if err := ForEachErr(nil, 4, 100, func(int) error { return nil }); err != nil {
-		t.Fatalf("nil ctx: err = %v", err)
-	}
-}
-
-func TestForEachErrCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	err := ForEachErr(ctx, 4, 1_000_000, func(i int) error {
-		if ran.Add(1) == 50 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() >= 1_000_000 {
-		t.Fatal("cancellation did not stop dispatch")
-	}
-}
-
 func TestForEachShardCoversAll(t *testing.T) {
 	for _, workers := range []int{1, 3, 9} {
 		n := 1001
@@ -146,57 +103,77 @@ func TestForEachShardCoversAll(t *testing.T) {
 	}
 }
 
-func TestForEachShardErrLowestShardWins(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		err := ForEachShardErr(context.Background(), workers, 800, func(s Shard) error {
-			for i := s.Start; i < s.End; i++ {
-				if i >= 300 {
-					return fmt.Errorf("bad index %d", i)
-				}
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "bad index 300" {
-			t.Fatalf("workers=%d: err = %v, want bad index 300", workers, err)
+func TestMapShardsShardOrder(t *testing.T) {
+	// MapShards must return each shard's result at the shard's index, so a
+	// left-to-right fold of the results is the same for any worker count.
+	n := 10_000
+	for _, workers := range []int{1, 2, 5, 32} {
+		shards := Shards(n, workers)
+		got := MapShards(workers, n, func(s Shard) Shard { return s })
+		if len(got) != len(shards) {
+			t.Fatalf("workers=%d: %d results for %d shards", workers, len(got), len(shards))
 		}
+		for i := range shards {
+			if got[i] != shards[i] {
+				t.Fatalf("workers=%d: result %d is %+v, want %+v", workers, i, got[i], shards[i])
+			}
+		}
+	}
+	if got := MapShards(4, 0, func(s Shard) int { return s.Len() }); len(got) != 0 {
+		t.Fatalf("empty MapShards = %v", got)
 	}
 }
 
-func TestMapReduceDeterministicOrder(t *testing.T) {
-	// Summing floats is order-sensitive; MapReduce must fold shards left to
-	// right so any worker count reproduces the single-shard fold over the
-	// same shard boundaries. Compare against an explicit sequential fold of
-	// the same shards.
-	n := 10_000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = 1.0 / float64(i+1)
+// recoverPanic runs f and returns the value it panicked with, or nil.
+func recoverPanic(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestWorkerPanicReachesCaller checks that a panic in a worker is raised
+// again on the calling goroutine with its original value, for the
+// per-index and the sharded primitives, and that no worker outlives the
+// call.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	const n, bad = 1000, 437
+	type boom struct{ i int }
+	runs := map[string]func(workers int){
+		"ForEach": func(workers int) {
+			ForEach(workers, n, func(i int) {
+				if i == bad {
+					panic(boom{i})
+				}
+			})
+		},
+		"MapShards": func(workers int) {
+			MapShards(workers, n, func(s Shard) int {
+				if s.Start <= bad && bad < s.End {
+					panic(boom{bad})
+				}
+				return s.Len()
+			})
+		},
 	}
-	sum := func(s Shard) float64 {
-		acc := 0.0
-		for i := s.Start; i < s.End; i++ {
-			acc += vals[i]
-		}
-		return acc
-	}
-	merge := func(a, b float64) float64 { return a + b }
-	for _, workers := range []int{1, 2, 5, 32} {
-		shards := Shards(n, workers)
-		want := 0.0
-		for i, s := range shards {
-			if i == 0 {
-				want = sum(s)
-			} else {
-				want = merge(want, sum(s))
+	for name, run := range runs {
+		for _, workers := range []int{1, 2, 8} {
+			before := runtime.NumGoroutine()
+			got := recoverPanic(func() { run(workers) })
+			if got != (boom{bad}) {
+				t.Errorf("%s workers=%d: recovered %v, want %v", name, workers, got, boom{bad})
+			}
+			// Workers have returned once the call panics; allow the
+			// runtime a moment to retire their goroutines.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%s workers=%d: %d goroutines after the panic, %d before", name, workers, after, before)
+			}
+			if running := Snapshot().Running; running != 0 {
+				t.Errorf("%s workers=%d: Snapshot().Running = %d after the panic", name, workers, running)
 			}
 		}
-		got := MapReduce(workers, n, sum, merge)
-		if got != want {
-			t.Fatalf("workers=%d: got %v, want %v", workers, got, want)
-		}
-	}
-	var zero float64
-	if got := MapReduce(4, 0, sum, merge); got != zero {
-		t.Fatalf("empty MapReduce = %v, want 0", got)
 	}
 }
