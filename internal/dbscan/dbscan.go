@@ -3,15 +3,12 @@
 // segment mining (§4.3 of the paper) to find dense ranges of segment values
 // and ranges of values that are uniformly distributed in the histogram.
 //
-// The package provides a generic n-dimensional implementation and an
-// optimized 1-dimensional variant (Cluster1D) that exploits sortedness; the
-// two produce identical clusters for 1-D inputs.
+// The package provides the textbook n-dimensional implementation (Cluster)
+// and a 1-dimensional variant over weighted values (Cluster1DWeighted) that
+// exploits sortedness; the two produce the same clusters for 1-D inputs.
 package dbscan
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Noise is the label assigned to points that belong to no cluster.
 const Noise = -1
@@ -87,131 +84,4 @@ func euclid(a, b []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// Cluster1D runs DBSCAN over scalar values. It produces the same clusters
-// as Cluster with 1-D points but runs in O(n log n) by sorting.
-func Cluster1D(values []float64, eps float64, minPts int) Result {
-	n := len(values)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = Noise
-	}
-	if n == 0 {
-		return Result{Labels: labels}
-	}
-	// Sort indices by value.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return values[idx[a]] < values[idx[b]] })
-	sorted := make([]float64, n)
-	for i, id := range idx {
-		sorted[i] = values[id]
-	}
-
-	// neighborCount[i] = number of points within eps of sorted[i].
-	neighborCount := make([]int, n)
-	lo, hi := 0, 0
-	for i := 0; i < n; i++ {
-		for lo < n && sorted[i]-sorted[lo] > eps {
-			lo++
-		}
-		if hi < i {
-			hi = i
-		}
-		for hi+1 < n && sorted[hi+1]-sorted[i] <= eps {
-			hi++
-		}
-		neighborCount[i] = hi - lo + 1
-	}
-
-	// A cluster is a maximal run of points chained through core points:
-	// consecutive (in sorted order) points belong to the same cluster if
-	// the gap between them is <= eps and at least one endpoint of the gap
-	// chain is reachable from a core point. We reproduce DBSCAN semantics:
-	// border points join the cluster of a core point within eps; noise
-	// points otherwise.
-	cluster := -1
-	lastCore := -1        // index (sorted order) of the most recent core point
-	lastCoreCluster := -1 // its cluster
-	for i := 0; i < n; i++ {
-		if neighborCount[i] < minPts {
-			continue // not a core point; handled as border below
-		}
-		if lastCore >= 0 && sorted[i]-sorted[lastCore] <= eps {
-			// Same cluster as the previous core point (density-connected).
-			labels[idx[i]] = lastCoreCluster
-		} else {
-			cluster++
-			labels[idx[i]] = cluster
-			lastCoreCluster = cluster
-		}
-		lastCore = i
-	}
-	// Assign border points: any non-core point within eps of a core point
-	// joins that core point's cluster (ties go to the nearer core point,
-	// matching the "first discovered" rule closely enough for our use).
-	coreIdx := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if neighborCount[i] >= minPts {
-			coreIdx = append(coreIdx, i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if neighborCount[i] >= minPts {
-			continue
-		}
-		// Find nearest core point by binary search over coreIdx.
-		pos := sort.Search(len(coreIdx), func(k int) bool { return sorted[coreIdx[k]] >= sorted[i] })
-		best, bestDist := -1, math.Inf(1)
-		if pos < len(coreIdx) {
-			if d := sorted[coreIdx[pos]] - sorted[i]; d < bestDist {
-				best, bestDist = coreIdx[pos], d
-			}
-		}
-		if pos > 0 {
-			if d := sorted[i] - sorted[coreIdx[pos-1]]; d < bestDist {
-				best, bestDist = coreIdx[pos-1], d
-			}
-		}
-		if best >= 0 && bestDist <= eps {
-			labels[idx[i]] = labels[idx[best]]
-		}
-	}
-	return Result{Labels: labels, NumClusters: cluster + 1}
-}
-
-// Interval is a closed range of values belonging to one cluster.
-type Interval struct {
-	Lo, Hi float64
-	// Size is the number of points in the cluster.
-	Size int
-}
-
-// Intervals summarizes a 1-D clustering result as the [min, max] interval
-// of each cluster, ordered by cluster label.
-func Intervals(values []float64, r Result) []Interval {
-	if r.NumClusters == 0 {
-		return nil
-	}
-	out := make([]Interval, r.NumClusters)
-	for i := range out {
-		out[i] = Interval{Lo: math.Inf(1), Hi: math.Inf(-1)}
-	}
-	for i, lbl := range r.Labels {
-		if lbl == Noise {
-			continue
-		}
-		iv := &out[lbl]
-		if values[i] < iv.Lo {
-			iv.Lo = values[i]
-		}
-		if values[i] > iv.Hi {
-			iv.Hi = values[i]
-		}
-		iv.Size++
-	}
-	return out
 }

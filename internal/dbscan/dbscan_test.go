@@ -63,9 +63,19 @@ func TestClusterChaining(t *testing.T) {
 	}
 }
 
+// unitWeights returns the values as weighted points of weight 1.
+func unitWeights(values []float64) []WeightedPoint {
+	points := make([]WeightedPoint, len(values))
+	for i, v := range values {
+		points[i] = WeightedPoint{Value: v, Weight: 1}
+	}
+	return points
+}
+
 func TestCluster1DMatchesND(t *testing.T) {
-	// Property: the 1-D specialization produces the same partition as the
-	// generic implementation (same number of clusters, same grouping).
+	// Property: the 1-D specialization with unit weights produces the same
+	// partition as the generic implementation (same number of clusters,
+	// same grouping).
 	f := func(raw []uint16, epsRaw uint8, minPtsRaw uint8) bool {
 		if len(raw) > 200 {
 			raw = raw[:200]
@@ -79,7 +89,7 @@ func TestCluster1DMatchesND(t *testing.T) {
 		eps := float64(epsRaw%50) + 0.5
 		minPts := int(minPtsRaw%5) + 1
 		a := Cluster(points, eps, minPts)
-		b := Cluster1D(values, eps, minPts)
+		b := Cluster1DWeighted(unitWeights(values), eps, minPts)
 		if a.NumClusters != b.NumClusters {
 			return false
 		}
@@ -133,13 +143,14 @@ func TestCluster1DDenseRangeAndOutliers(t *testing.T) {
 		values = append(values, float64(v))
 	}
 	values = append(values, 500, 900)
-	r := Cluster1D(values, 2, 4)
+	points := unitWeights(values)
+	r := Cluster1DWeighted(points, 2, 4)
 	if r.NumClusters != 1 {
 		t.Fatalf("NumClusters = %d, want 1", r.NumClusters)
 	}
-	ivs := Intervals(values, r)
-	if len(ivs) != 1 || ivs[0].Lo != 100 || ivs[0].Hi != 150 || ivs[0].Size != 51 {
-		t.Errorf("Intervals = %+v", ivs)
+	ivs := WeightedIntervals(points, r)
+	if len(ivs) != 1 || ivs[0].Lo != 100 || ivs[0].Hi != 150 || ivs[0].Weight != 51 || ivs[0].Points != 51 {
+		t.Errorf("WeightedIntervals = %+v", ivs)
 	}
 	if r.Labels[len(values)-1] != Noise || r.Labels[len(values)-2] != Noise {
 		t.Error("isolated values should be noise")
@@ -147,20 +158,21 @@ func TestCluster1DDenseRangeAndOutliers(t *testing.T) {
 }
 
 func TestCluster1DEmpty(t *testing.T) {
-	r := Cluster1D(nil, 1, 2)
-	if r.NumClusters != 0 {
+	r := Cluster1DWeighted(unitWeights(nil), 1, 2)
+	if r.NumClusters != 0 || len(r.Labels) != 0 {
 		t.Error("empty input should produce no clusters")
 	}
-	if Intervals(nil, r) != nil {
-		t.Error("Intervals of empty result should be nil")
+	if WeightedIntervals(nil, r) != nil {
+		t.Error("WeightedIntervals of empty result should be nil")
 	}
 }
 
 func TestCluster1DBorderPoints(t *testing.T) {
-	// 0,1,2 are dense (minPts 3, eps 1); 3.5 is within eps... no, 3.5-2 =
-	// 1.5 > 1, so it is noise. 2.8 would be a border point of the cluster.
+	// 0,1,2 are dense (minPts 3, eps 1); 2.8 is within eps of the core
+	// point 2 but has only two points within eps, so it is a border point
+	// of the cluster; 10 is noise.
 	values := []float64{0, 1, 2, 2.8, 10}
-	r := Cluster1D(values, 1, 3)
+	r := Cluster1DWeighted(unitWeights(values), 1, 3)
 	if r.NumClusters != 1 {
 		t.Fatalf("NumClusters = %d", r.NumClusters)
 	}
@@ -174,13 +186,14 @@ func TestCluster1DBorderPoints(t *testing.T) {
 
 func TestIntervalsMultipleClusters(t *testing.T) {
 	values := []float64{1, 2, 3, 100, 101, 102, 103}
-	r := Cluster1D(values, 1.5, 3)
-	ivs := Intervals(values, r)
+	points := unitWeights(values)
+	r := Cluster1DWeighted(points, 1.5, 3)
+	ivs := WeightedIntervals(points, r)
 	if len(ivs) != 2 {
-		t.Fatalf("Intervals = %+v", ivs)
+		t.Fatalf("WeightedIntervals = %+v", ivs)
 	}
 	if ivs[0].Lo != 1 || ivs[0].Hi != 3 || ivs[1].Lo != 100 || ivs[1].Hi != 103 {
-		t.Errorf("Intervals = %+v", ivs)
+		t.Errorf("WeightedIntervals = %+v", ivs)
 	}
 }
 
@@ -202,18 +215,6 @@ func TestClusterUniformHistogramUseCase(t *testing.T) {
 	}
 	if r.Labels[len(points)-1] != Noise {
 		t.Error("spike should be noise relative to the uniform range")
-	}
-}
-
-func BenchmarkCluster1D(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	values := make([]float64, 2000)
-	for i := range values {
-		values[i] = rng.Float64() * 1000
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Cluster1D(values, 5, 4)
 	}
 }
 

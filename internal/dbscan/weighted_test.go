@@ -7,7 +7,7 @@ import (
 
 func TestCluster1DWeightedEquivalentToExpanded(t *testing.T) {
 	// Property: clustering weighted points gives the same core structure as
-	// clustering the expanded multiset.
+	// clustering the expanded multiset with the reference implementation.
 	f := func(raw []uint8, epsRaw, minPtsRaw uint8) bool {
 		if len(raw) > 60 {
 			raw = raw[:60]
@@ -18,7 +18,7 @@ func TestCluster1DWeightedEquivalentToExpanded(t *testing.T) {
 			w int
 		}
 		var wpoints []WeightedPoint
-		var expanded []float64
+		var expanded [][]float64
 		seen := map[float64]int{}
 		for i, r := range raw {
 			v := float64(r % 50)
@@ -28,7 +28,7 @@ func TestCluster1DWeightedEquivalentToExpanded(t *testing.T) {
 		for v, w := range seen {
 			wpoints = append(wpoints, WeightedPoint{Value: v, Weight: w})
 			for k := 0; k < w; k++ {
-				expanded = append(expanded, v)
+				expanded = append(expanded, []float64{v})
 			}
 		}
 		if len(wpoints) == 0 {
@@ -37,15 +37,15 @@ func TestCluster1DWeightedEquivalentToExpanded(t *testing.T) {
 		eps := float64(epsRaw%10) + 0.5
 		minPts := int(minPtsRaw%6) + 1
 		a := Cluster1DWeighted(wpoints, eps, minPts)
-		b := Cluster1D(expanded, eps, minPts)
+		b := Cluster(expanded, eps, minPts)
 		if a.NumClusters != b.NumClusters {
 			return false
 		}
 		// Each weighted point's noise status must match the status of the
 		// corresponding expanded values.
 		expIdx := map[float64]int{}
-		for i, v := range expanded {
-			expIdx[v] = i
+		for i, p := range expanded {
+			expIdx[p[0]] = i
 		}
 		for i, p := range wpoints {
 			if (a.Labels[i] == Noise) != (b.Labels[expIdx[p.Value]] == Noise) {
