@@ -48,6 +48,31 @@ func compiledCases(width int) []*SegmentModel {
 	}
 }
 
+// Encode maps an address to its categorical vector. Values not covered by
+// any mined element are clamped to the nearest element (EncodeNearest); the
+// second return is false if any segment had to clamp.
+//
+// This is the readable reference implementation — one allocation and two
+// scans per address — that the CompiledEncoder equivalence tests compare
+// against.
+func (e *Encoder) Encode(a ip6.Addr) ([]int, bool) {
+	vec := make([]int, len(e.Models))
+	exact := true
+	for i, m := range e.Models {
+		value := m.Seg.Value(a)
+		idx, ok := m.Encode(value)
+		if !ok {
+			exact = false
+			idx, ok = m.EncodeNearest(value)
+			if !ok {
+				return nil, false
+			}
+		}
+		vec[i] = idx
+	}
+	return vec, exact
+}
+
 // refEncode is the uncompiled answer: Encode, else EncodeNearest.
 func refEncode(m *SegmentModel, v uint64) (int, bool) {
 	if idx, ok := m.Encode(v); ok {

@@ -603,10 +603,10 @@ func (m *SegmentModel) FormatValue(v Value) string {
 
 // Encoder encodes whole addresses into categorical vectors over the mined
 // codes of every segment, the representation used to train and query the
-// Bayesian network. Encode is the readable reference scan; the bulk and
-// serving paths run on the compiled flat-table form (Compiled), which
-// answers identically. An Encoder must not be copied after first use
-// (the compiled form is cached behind a sync.Once).
+// Bayesian network. Every path runs on the compiled flat-table form
+// (Compiled), which answers identically to the readable per-element
+// reference scan in the tests. An Encoder must not be copied after first
+// use (the compiled form is cached behind a sync.Once).
 type Encoder struct {
 	Models []*SegmentModel
 
@@ -624,31 +624,6 @@ func (e *Encoder) Arities() []int {
 		out[i] = m.Arity()
 	}
 	return out
-}
-
-// Encode maps an address to its categorical vector. Values not covered by
-// any mined element are clamped to the nearest element (EncodeNearest); the
-// second return is false if any segment had to clamp.
-//
-// This is the readable reference implementation — one allocation and two
-// scans per address. Bulk callers should use Compiled().EncodeInto (zero
-// allocation, flat lookup); EncodeAll already does.
-func (e *Encoder) Encode(a ip6.Addr) ([]int, bool) {
-	vec := make([]int, len(e.Models))
-	exact := true
-	for i, m := range e.Models {
-		value := m.Seg.Value(a)
-		idx, ok := m.Encode(value)
-		if !ok {
-			exact = false
-			idx, ok = m.EncodeNearest(value)
-			if !ok {
-				return nil, false
-			}
-		}
-		vec[i] = idx
-	}
-	return vec, exact
 }
 
 // EncodeAll encodes a slice of addresses, dropping none; the returned
