@@ -995,21 +995,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		*batchp = batch[:0]
 		observeBatchPool.Put(batchp)
 	}()
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		res, err := s.refresher.Observe(ctx, name, batch)
-		batch = batch[:0]
-		if err != nil {
-			writeRegistryError(w, r, err)
-			return false
-		}
-		out.Accepted += res.Accepted
-		out.Evaluated = out.Evaluated || res.Evaluated
-		s.observeAccepted.Add(uint64(res.Accepted))
-		return true
-	}
 	for scanner.Scan() {
 		line := bytes.TrimSpace(scanner.Bytes())
 		if len(line) == 0 || line[0] == '#' {
@@ -1059,7 +1044,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		batch = append(batch, a)
 		if len(batch) >= observeBatchSize {
-			if !flush() {
+			if !s.observeFlush(ctx, w, r, name, &batch, &out) {
 				return
 			}
 		}
@@ -1073,7 +1058,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if !flush() {
+	if !s.observeFlush(ctx, w, r, name, &batch, &out) {
 		return
 	}
 	out.Drift, _ = s.refresher.Status(name)
