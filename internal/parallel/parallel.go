@@ -88,11 +88,10 @@ func ForEach(workers, n int, fn func(i int)) {
 	if w > n {
 		w = n
 	}
-	if n <= 0 {
-		return
+	if n > 0 {
+		trackBegin(w, n)
+		defer trackEnd(w)
 	}
-	trackBegin(w, n)
-	defer trackEnd(w)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
