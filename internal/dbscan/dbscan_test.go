@@ -1,19 +1,104 @@
 package dbscan
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// Cluster is the textbook O(n²) DBSCAN over n-dimensional points with
+// Euclidean distance. It is the oracle Cluster2D and Cluster1DWeighted
+// are checked against: eps is the neighborhood radius and minPts the
+// minimum number of points (including the point itself) required to form
+// a dense region.
+func Cluster(points [][]float64, eps float64, minPts int) Result {
+	n := len(points)
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = Noise
+	}
+	visited := make([]bool, n)
+	cluster := 0
+
+	neighbors := func(i int) []int {
+		var out []int
+		for j := 0; j < n; j++ {
+			if euclid(points[i], points[j]) <= eps {
+				out = append(out, j)
+			}
+		}
+		return out
+	}
+
+	for i := 0; i < n; i++ {
+		if visited[i] {
+			continue
+		}
+		visited[i] = true
+		nb := neighbors(i)
+		if len(nb) < minPts {
+			continue // noise (may later be adopted as a border point)
+		}
+		// Start a new cluster and expand it.
+		labels[i] = cluster
+		queue := append([]int(nil), nb...)
+		for qi := 0; qi < len(queue); qi++ {
+			j := queue[qi]
+			if !visited[j] {
+				visited[j] = true
+				jnb := neighbors(j)
+				if len(jnb) >= minPts {
+					queue = append(queue, jnb...)
+				}
+			}
+			if labels[j] == Noise {
+				labels[j] = cluster
+			}
+		}
+		cluster++
+	}
+	return Result{Labels: labels, NumClusters: cluster}
+}
+
+func euclid(a, b []float64) float64 {
+	sum := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		sum += d * d
+	}
+	return math.Sqrt(sum)
+}
+
+// cluster2DOracle runs Cluster2D and the Cluster oracle on the same points
+// and returns an error describing the first difference.
+func cluster2DOracle(points [][2]float64, eps float64, minPts int) (Result, error) {
+	nd := make([][]float64, len(points))
+	for i, p := range points {
+		nd[i] = []float64{p[0], p[1]}
+	}
+	got, want := Cluster2D(points, eps, minPts), Cluster(nd, eps, minPts)
+	if got.NumClusters != want.NumClusters || !slices.Equal(got.Labels, want.Labels) {
+		return got, fmt.Errorf("Cluster2D(eps=%v, minPts=%d) = %d clusters %v, oracle %d clusters %v",
+			eps, minPts, got.NumClusters, got.Labels, want.NumClusters, want.Labels)
+	}
+	return got, nil
+}
+
 func TestClusterTwoBlobs(t *testing.T) {
 	// Two tight 2-D blobs and one far-away noise point.
-	points := [][]float64{
+	points := [][2]float64{
 		{0, 0}, {0.1, 0}, {0, 0.1}, {0.1, 0.1},
 		{10, 10}, {10.1, 10}, {10, 10.1},
 		{100, 100},
 	}
-	r := Cluster(points, 0.5, 3)
+	r, err := cluster2DOracle(points, 0.5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.NumClusters != 2 {
 		t.Fatalf("NumClusters = %d, want 2", r.NumClusters)
 	}
@@ -43,6 +128,15 @@ func TestClusterEmptyAndSingle(t *testing.T) {
 	r = Cluster([][]float64{{1}}, 1, 1)
 	if r.NumClusters != 1 || r.Labels[0] != 0 {
 		t.Error("single point with minPts=1 should be a cluster")
+	}
+	r = Cluster2D(nil, 1, 2)
+	if r.NumClusters != 0 || len(r.Labels) != 0 {
+		t.Error("Cluster2D: empty input should produce no clusters")
+	}
+	for _, minPts := range []int{1, 2} {
+		if _, err := cluster2DOracle([][2]float64{{1, 1}}, 1, minPts); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -202,14 +296,17 @@ func TestClusterUniformHistogramUseCase(t *testing.T) {
 	// where a contiguous range of values has similar counts clusters
 	// together when counts are normalized.
 	rng := rand.New(rand.NewSource(1))
-	var points [][]float64
+	var points [][2]float64
 	// Uniform-ish range: values 0..99 with counts ~10.
 	for v := 0; v < 100; v++ {
-		points = append(points, []float64{float64(v), 10 + float64(rng.Intn(3))})
+		points = append(points, [2]float64{float64(v), 10 + float64(rng.Intn(3))})
 	}
 	// A spike far away in count space.
-	points = append(points, []float64{200, 1000})
-	r := Cluster(points, 5, 4)
+	points = append(points, [2]float64{200, 1000})
+	r, err := cluster2DOracle(points, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.NumClusters < 1 {
 		t.Fatal("expected at least one cluster")
 	}
@@ -218,14 +315,152 @@ func TestClusterUniformHistogramUseCase(t *testing.T) {
 	}
 }
 
-func BenchmarkClusterND(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	points := make([][]float64, 500)
-	for i := range points {
-		points[i] = []float64{rng.Float64() * 1000, rng.Float64() * 1000}
+// pointsFromFuzz decodes a fuzz input into 2-D points, at most 400 of
+// them so the quadratic oracle stays fast. In scatter mode each 4 bytes
+// are two int16 coordinates times scale; lattice inputs (small integers
+// with scale == eps) put neighbors exactly eps apart. In histogram mode
+// each 2 bytes are a value gap and a count, normalized like segment
+// mining's step (c): x = 100·value/span rises monotonically and
+// y = 100·count/maxCount.
+func pointsFromFuzz(data []byte, scale float64, histogram bool) [][2]float64 {
+	const maxPoints = 400
+	var points [][2]float64
+	if !histogram {
+		for len(data) >= 4 && len(points) < maxPoints {
+			x := int16(binary.LittleEndian.Uint16(data))
+			y := int16(binary.LittleEndian.Uint16(data[2:]))
+			points = append(points, [2]float64{float64(x) * scale, float64(y) * scale})
+			data = data[4:]
+		}
+		return points
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Cluster(points, 5, 4)
+	var values []uint64
+	var counts []int
+	v, maxCount := uint64(0), 0
+	for len(data) >= 2 && len(values) < maxPoints {
+		v += uint64(data[0]) + 1
+		values = append(values, v)
+		counts = append(counts, int(data[1])+1)
+		maxCount = max(maxCount, int(data[1])+1)
+		data = data[2:]
+	}
+	span := float64(v) * math.Max(1, scale)
+	for i, v := range values {
+		points = append(points, [2]float64{
+			100 * float64(v) / span,
+			100 * float64(counts[i]) / float64(maxCount),
+		})
+	}
+	return points
+}
+
+// checkCluster2D requires Cluster2D to equal the oracle on one decoded
+// fuzz input.
+func checkCluster2D(t *testing.T, data []byte, scale, eps float64, minPts uint8, histogram bool) {
+	t.Helper()
+	if math.IsNaN(scale) || math.Abs(scale) < 1e-3 || math.Abs(scale) > 1e3 {
+		scale = 1
+	}
+	// Below ~1e-150 squared distances underflow, outside Cluster2D's
+	// exactness contract.
+	if math.IsNaN(eps) || math.IsInf(eps, 0) || math.Abs(eps) < 1e-100 || math.Abs(eps) > 1e6 {
+		eps = 5
+	}
+	points := pointsFromFuzz(data, scale, histogram)
+	if _, err := cluster2DOracle(points, eps, int(minPts%6)+1); err != nil {
+		t.Fatalf("%d points: %v", len(points), err)
+	}
+}
+
+// lattice encodes a w×h lattice of integer coordinates (spacing 1) in the
+// scatter fuzz encoding, starting at (x0, y0).
+func lattice(x0, y0, w, h int) []byte {
+	var out []byte
+	for i := 0; i < w; i++ {
+		for j := 0; j < h; j++ {
+			out = binary.LittleEndian.AppendUint16(out, uint16(int16(x0+i)))
+			out = binary.LittleEndian.AppendUint16(out, uint16(int16(y0+j)))
+		}
+	}
+	return out
+}
+
+func FuzzCluster2D(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	coincident := append(lattice(3, 3, 1, 1), lattice(3, 3, 1, 1)...)
+	coincident = append(coincident, coincident...)
+	for minPts := uint8(0); minPts < 6; minPts++ { // minPts%6+1 covers 1..6
+		f.Add(random(400), 1.0, 500.0, minPts, false)
+		f.Add(random(1200), 0.01, 5.0, minPts, false)
+		f.Add(lattice(0, 0, 6, 6), 5.0, 5.0, minPts, false)
+		f.Add(lattice(-3, 7, 9, 2), 0.1, 0.1, minPts, false)
+		f.Add(lattice(0, 0, 12, 1), 0.3, 0.3, minPts, false)
+		f.Add(coincident, 1.0, 0.5, minPts, false)
+		f.Add(coincident, 1.0, 0.0, minPts, false)
+		f.Add(random(600), 1.0, 5.0, minPts, true)
+		f.Add(random(800), 3.0, 5.0, minPts, true)
+		f.Add(append(random(40), make([]byte, 200)...), 1.0, 5.0, minPts, true)
+	}
+	f.Fuzz(checkCluster2D)
+}
+
+// TestCluster2DMatchesOracle runs many seeded inputs of each fuzz shape,
+// beyond the fuzz corpus that plain test runs replay, plus inputs too wide
+// for eps-sized cells.
+func TestCluster2DMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for it := 0; it < 600; it++ {
+		data := make([]byte, 4*(1+rng.Intn(150)))
+		rng.Read(data)
+		minPts := uint8(it % 6)
+		switch it % 4 {
+		case 0: // scattered points, eps from tiny to covering everything
+			checkCluster2D(t, data, 1, math.Pow(10, 1+4*rng.Float64()), minPts, false)
+		case 1: // lattice spaced exactly eps apart, non-binary fractions
+			step := []float64{0.1, 0.3, 0.7, 1, 5}[rng.Intn(5)]
+			w, h := 1+rng.Intn(12), 1+rng.Intn(12)
+			checkCluster2D(t, lattice(rng.Intn(20)-10, rng.Intn(20)-10, w, h), step, step, minPts, false)
+		case 2: // step (c) histogram points
+			checkCluster2D(t, data, 1+3*rng.Float64(), 5, minPts, true)
+		default: // tight groups spread 10^11 eps wide: coarse cells
+			const eps = 0.01
+			var points [][2]float64
+			for g := 0; g < 1+rng.Intn(60); g++ {
+				x, y := (rng.Float64()-0.5)*2e9, (rng.Float64()-0.5)*2e9
+				for k := 0; k < 1+rng.Intn(6); k++ {
+					points = append(points, [2]float64{x + (rng.Float64()-0.5)*eps, y + (rng.Float64()-0.5)*eps})
+				}
+			}
+			if _, err := cluster2DOracle(points, eps, int(minPts)+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkCluster2D(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{500, 4096} {
+		points := make([][2]float64, n)
+		nd := make([][]float64, n)
+		for i := range points {
+			points[i] = [2]float64{rng.Float64() * 100, rng.Float64() * 100}
+			nd[i] = points[i][:]
+		}
+		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Cluster2D(points, 5, 4)
+			}
+		})
+		b.Run(fmt.Sprintf("reference/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Cluster(nd, 5, 4)
+			}
+		})
 	}
 }

@@ -333,15 +333,15 @@ type histPoint struct {
 }
 
 // uniformDBSCANMaxPoints bounds the input size of the 2-D DBSCAN of step
-// (c). The textbook algorithm is quadratic, which is fine at the paper's
-// 1K-training scale but turns a wide high-entropy segment of a
-// 100K-address training set (tens of thousands of distinct values) into
-// minutes of clustering. Above the limit, the histogram is coarsened
-// first into fixed-size runs of adjacent distinct values (each run
-// covering the same number of entries, not the same total count): the
-// step looks for ranges that are uniformly distributed and relatively
-// continuous, a property that survives this coarsening. Segments under
-// the limit mine exactly as before.
+// (c). Above the limit, the histogram is coarsened first into fixed-size
+// runs of adjacent distinct values (each run covering the same number of
+// entries, not the same total count): the step looks for ranges that are
+// uniformly distributed and relatively continuous, a property that
+// survives this coarsening. Segments under the limit cluster one point per
+// distinct value. The bound dates from a quadratic clustering step; the
+// grid-indexed dbscan.Cluster2D would run without it, but the coarsening
+// is part of what training computes, so changing the limit changes the
+// saved model of every segment wider than it.
 const uniformDBSCANMaxPoints = 4096
 
 // histPoints converts histogram entries (ascending value order) into
@@ -392,10 +392,10 @@ func mineUniformRanges(pool *stats.Freq, seg segment.Segment, cfg Config) []Valu
 	if span == 0 {
 		span = 1
 	}
-	points := make([][]float64, len(hps))
+	points := make([][2]float64, len(hps))
 	for i, hp := range hps {
 		mid := hp.lo + (hp.hi-hp.lo)/2
-		points[i] = []float64{
+		points[i] = [2]float64{
 			// Value axis normalized to [0, 100]: continuity matters at the
 			// scale of the whole segment.
 			100 * float64(mid) / span,
@@ -404,7 +404,7 @@ func mineUniformRanges(pool *stats.Freq, seg segment.Segment, cfg Config) []Valu
 			100 * float64(hp.count) / float64(maxCount),
 		}
 	}
-	res := dbscan.Cluster(points, 5, 4)
+	res := dbscan.Cluster2D(points, 5, 4)
 	// Convert clusters back to value intervals.
 	ivs := make([]dbscan.WeightedInterval, res.NumClusters)
 	init := make([]bool, res.NumClusters)

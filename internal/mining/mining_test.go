@@ -9,6 +9,7 @@ import (
 	"entropyip/internal/ip6"
 	"entropyip/internal/segment"
 	"entropyip/internal/stats"
+	"entropyip/internal/synth"
 )
 
 func seg(label string, start, width int) segment.Segment {
@@ -442,6 +443,23 @@ func BenchmarkMineAll1K(b *testing.B) {
 	addrs := buildTestSet(1000, 9)
 	prof := entropy.NewProfile(addrs)
 	sg := segment.Segments(prof, segment.Config{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MineAll(addrs, sg, Config{})
+	}
+}
+
+// BenchmarkMineAll100k mines every segment of a 100k-address C1 training
+// set, the refresh workload's training shape, where the step-(c) DBSCAN
+// meets wide segments with thousands of distinct values.
+func BenchmarkMineAll100k(b *testing.B) {
+	addrs, err := synth.Generate("C1", 100_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := entropy.NewProfile(addrs)
+	sg := segment.Segments(prof, segment.Config{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MineAll(addrs, sg, Config{})

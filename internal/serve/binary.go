@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -388,15 +389,20 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 			ww := wireWriterPool.Get().(*wire.Writer)
 			defer wireWriterPool.Put(ww)
 			ww.Reset(sink, idx, req.Prefixes, every)
-			if batch && ww.Seed(st.seed) != nil {
-				return
-			}
 			sw = ww
 		} else {
 			nw := ndjsonWriterPool.Get().(*ndjsonWriter) //eip:pool-ok putNDJSONWriter puts it back unless its buffer grew oversized
 			defer putNDJSONWriter(nw)
 			nw.Reset(sink, idx, batch, traceID, every)
 			sw = nw
+		}
+		if batch {
+			// Deferred after the writer's pool release, so it runs first
+			// and can still write this stream's Error.
+			defer s.recoverStream(r, idx, span, sw)
+			if ww, ok := sw.(*wire.Writer); ok && ww.Seed(st.seed) != nil {
+				return
+			}
 		}
 		opts := s.generateOptions(ctx, st, req)
 		var n int64
@@ -473,6 +479,32 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 	}
 	_ = bw.Flush()
 	s.candidates.Add(uint64(produced.Load()))
+}
+
+// streamPanicMessage is the in-band error of a batch stream whose
+// producer panicked; the details go to the log, not to the client.
+const streamPanicMessage = "internal server error"
+
+// recoverStream is deferred by every stream of a batch generate. Those
+// run on their own goroutines, beyond the handler middleware's recover,
+// where a panic would kill the process. It recovers one, logs it and
+// counts it in eip_http_panics_total like a handler panic, and ends that
+// stream alone with an in-band Error; the batch's other streams finish.
+func (s *Server) recoverStream(r *http.Request, idx int, span *trace.Span, sw streamWriter) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	s.metrics.panicked()
+	s.logger.Error("generate stream panic",
+		"request_id", requestID(r.Context()),
+		"trace_id", traceIDString(r.Context()),
+		"model", r.PathValue("name"),
+		"stream", idx,
+		"panic", fmt.Sprint(p),
+		"stack", string(debug.Stack()))
+	span.SetError(fmt.Sprint("panic: ", p))
+	_ = sw.Error(streamPanicMessage)
 }
 
 // observeBinary ingests a framed binary /observe body: address frames

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"entropyip/internal/ip6"
@@ -379,6 +380,88 @@ func checkGenerateBatch(t *testing.T, binary bool) {
 				}
 			}
 		})
+	}
+}
+
+// panicOnceFlusher is a ResponseWriter whose first Flush panics. Batch
+// streams flush from their own goroutines, so the panic lands on one of
+// them, outside the handler middleware's recover.
+type panicOnceFlusher struct {
+	*httptest.ResponseRecorder
+	fired atomic.Bool
+}
+
+func (w *panicOnceFlusher) Flush() {
+	if w.fired.CompareAndSwap(false, true) {
+		panic("flush fault")
+	}
+	w.ResponseRecorder.Flush()
+}
+
+// TestBatchStreamPanicIsInBand checks that a panic on one batch stream's
+// goroutine ends that stream alone with an in-band Error frame and is
+// counted as a handler panic, while the other streams run to their End
+// frames and the server keeps serving.
+func TestBatchStreamPanicIsInBand(t *testing.T) {
+	s, reg := newTestServer(t, Options{})
+	if _, err := reg.Put("web", testModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	const nStreams, count = 4, 40
+	var specs []GenerateStreamSpec
+	for i := 0; i < nStreams; i++ {
+		specs = append(specs, GenerateStreamSpec{Count: count, Seed: seedPtr(int64(i + 1))})
+	}
+	req := httptest.NewRequest("POST", "/v1/models/web/generate",
+		bytes.NewReader(jsonBody(t, GenerateRequest{Streams: specs})))
+	req.Header.Set("Accept", wire.ContentType)
+	w := &panicOnceFlusher{ResponseRecorder: httptest.NewRecorder()}
+	s.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+	}
+
+	rd, err := wire.NewReader(bytes.NewReader(w.Body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := map[int]string{}
+	ended := map[int]bool{}
+	addrs := map[int]int{}
+	for {
+		f, err := rd.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("decoding frame: %v", err)
+		}
+		switch f.Kind {
+		case wire.KindAddrs:
+			addrs[f.Stream] += f.Count
+		case wire.KindEnd:
+			ended[f.Stream] = true
+		case wire.KindError:
+			failed[f.Stream] = f.Message()
+		}
+	}
+	if len(failed) != 1 {
+		t.Fatalf("streams with an Error frame = %v, want exactly one", failed)
+	}
+	for i := 0; i < nStreams; i++ {
+		msg, bad := failed[i]
+		switch {
+		case bad && (msg != streamPanicMessage || ended[i]):
+			t.Errorf("panicked stream %d: error %q, End frame %v; want %q and no End", i, msg, ended[i], streamPanicMessage)
+		case !bad && (!ended[i] || addrs[i] != count):
+			t.Errorf("stream %d: %d addresses, End frame %v; want %d and End", i, addrs[i], ended[i], count)
+		}
+	}
+	if got := s.metrics.Snapshot().Panics; got != 1 {
+		t.Errorf("Panics = %d, want 1", got)
+	}
+	if w := do(t, s, "GET", "/healthz", nil); w.Code != http.StatusOK {
+		t.Errorf("healthz after stream panic: status = %d", w.Code)
 	}
 }
 

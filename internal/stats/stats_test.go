@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -110,6 +113,145 @@ func TestFreqTotalInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFreqEdgeCases pins the boundary behavior of the sorted table:
+// inverted ranges, empty tables, insertion between existing values and
+// removal of absent values.
+func TestFreqEdgeCases(t *testing.T) {
+	f := FreqOf([]uint64{10, 20, 20, 30})
+	before := f.Entries()
+	if got := f.CountRange(30, 10); got != 0 {
+		t.Errorf("CountRange(30, 10) = %d, want 0", got)
+	}
+	if got := f.RemoveRange(30, 10); got != 0 {
+		t.Errorf("RemoveRange(30, 10) = %d, want 0", got)
+	}
+	if got := f.Remove(25); got != 0 {
+		t.Errorf("Remove(25) = %d, want 0", got)
+	}
+	if !slices.Equal(f.Entries(), before) || f.Total() != 4 {
+		t.Fatalf("no-op calls changed the table: %v total %d", f.Entries(), f.Total())
+	}
+
+	f.AddN(25, 2)
+	f.AddN(5, 1)
+	f.AddN(35, 1)
+	want := []Entry{{5, 1}, {10, 1}, {20, 2}, {25, 2}, {30, 1}, {35, 1}}
+	if got := f.Entries(); !slices.Equal(got, want) {
+		t.Errorf("after AddN: Entries = %v, want %v", got, want)
+	}
+	if f.Total() != 8 || f.Count(25) != 2 {
+		t.Errorf("after AddN: total %d, Count(25) %d", f.Total(), f.Count(25))
+	}
+
+	for name, empty := range map[string]*Freq{
+		"NewFreq":     NewFreq(),
+		"FreqOf(nil)": FreqOf(nil),
+		"emptied":     func() *Freq { g := FreqOf([]uint64{7, 7}); g.Remove(7); return g }(),
+		"range-clear": func() *Freq { g := FreqOf([]uint64{1, 9}); g.RemoveRange(0, math.MaxUint64); return g }(),
+	} {
+		if _, ok := empty.Min(); ok {
+			t.Errorf("%s: Min of empty should be not ok", name)
+		}
+		if _, ok := empty.Max(); ok {
+			t.Errorf("%s: Max of empty should be not ok", name)
+		}
+		if empty.Total() != 0 || empty.Distinct() != 0 || len(empty.Entries()) != 0 || empty.P(7) != 0 {
+			t.Errorf("%s: not empty: total %d distinct %d", name, empty.Total(), empty.Distinct())
+		}
+	}
+}
+
+// mapFreq is the map-backed frequency table the sorted Freq replaced,
+// kept as the reference for TestFreqMatchesMapReference.
+type mapFreq map[uint64]int
+
+func (m mapFreq) entries() []Entry {
+	out := make([]Entry, 0, len(m))
+	for v, c := range m {
+		out = append(out, Entry{Value: v, Count: c})
+	}
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Value, b.Value) })
+	return out
+}
+
+func (m mapFreq) rangeCount(lo, hi uint64, remove bool) int {
+	n := 0
+	for v, c := range m {
+		if v >= lo && v <= hi {
+			n += c
+			if remove {
+				delete(m, v)
+			}
+		}
+	}
+	return n
+}
+
+// TestFreqMatchesMapReference applies random operation sequences to Freq
+// and to the map reference and compares every accessor after each step.
+func TestFreqMatchesMapReference(t *testing.T) {
+	rng := RNG(5)
+	for trial := 0; trial < 300; trial++ {
+		// A small value universe makes hits, misses and shared ranges
+		// common; trial-dependent spread reaches the uint64 extremes.
+		universe := uint64(1 + rng.Intn(40))
+		value := func() uint64 {
+			v := uint64(rng.Intn(int(universe)))
+			if trial%4 == 3 {
+				v = math.MaxUint64 - v
+			}
+			return v
+		}
+		init := make([]uint64, rng.Intn(30))
+		ref := mapFreq{}
+		for i := range init {
+			init[i] = value()
+			ref[init[i]]++
+		}
+		f := FreqOf(init)
+		for step := 0; step < 40; step++ {
+			var op string
+			var got, want int
+			switch a, b := value(), value(); rng.Intn(5) {
+			case 0:
+				op = fmt.Sprintf("AddN(%d, %d)", a, b%4)
+				f.AddN(a, int(b%4))
+				if b%4 > 0 {
+					ref[a] += int(b % 4)
+				}
+			case 1:
+				op = fmt.Sprintf("Remove(%d)", a)
+				got, want = f.Remove(a), ref[a]
+				delete(ref, a)
+			case 2:
+				op = fmt.Sprintf("RemoveRange(%d, %d)", a, b)
+				got, want = f.RemoveRange(a, b), ref.rangeCount(a, b, true)
+			case 3:
+				op = fmt.Sprintf("CountRange(%d, %d)", a, b)
+				got, want = f.CountRange(a, b), ref.rangeCount(a, b, false)
+			default:
+				op = fmt.Sprintf("Count(%d)", a)
+				got, want = f.Count(a), ref[a]
+			}
+			if got != want {
+				t.Fatalf("trial %d step %d: %s = %d, want %d", trial, step, op, got, want)
+			}
+			wantEntries := ref.entries()
+			if !slices.Equal(f.Entries(), wantEntries) || f.Total() != ref.rangeCount(0, math.MaxUint64, false) ||
+				f.Distinct() != len(ref) {
+				t.Fatalf("trial %d step %d: after %s Entries = %v (total %d), want %v",
+					trial, step, op, f.Entries(), f.Total(), wantEntries)
+			}
+			mn, okMin := f.Min()
+			mx, okMax := f.Max()
+			if okMin != (len(ref) > 0) || okMax != okMin ||
+				(okMin && (mn != wantEntries[0].Value || mx != wantEntries[len(wantEntries)-1].Value)) {
+				t.Fatalf("trial %d step %d: after %s Min/Max = %d,%v / %d,%v", trial, step, op, mn, okMin, mx, okMax)
+			}
+		}
 	}
 }
 
