@@ -204,7 +204,7 @@ func Prefix32(a Addr) Prefix { return ip6.Prefix32(a) }
 // live address window and a served model, and the automatic refresh loop.
 
 // IngestConfig configures a streaming observation buffer (sliding window,
-// per-/64 cap, reservoir sample).
+// per-/64 cap).
 type IngestConfig = ingest.Config
 
 // IngestBuffer is a bounded, concurrent buffer of observed addresses.

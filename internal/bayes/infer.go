@@ -4,20 +4,24 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/rand"
 	"sort"
 )
 
-// sortedVars returns the evidence variable indices in ascending order.
-// Validation walks use it so that which error surfaces first does not
-// depend on map iteration order.
-func sortedVars(evidence map[int]int) []int {
+// checkEvidence rejects evidence on unknown variables or with values
+// out of range. Variables are checked in ascending order, so which error
+// surfaces does not depend on map iteration order.
+func (n *Network) checkEvidence(evidence map[int]int) error {
 	vars := make([]int, 0, len(evidence))
 	for v := range evidence {
 		vars = append(vars, v)
 	}
 	sort.Ints(vars)
-	return vars
+	for _, v := range vars {
+		if ev := evidence[v]; v < 0 || v >= len(n.Vars) || ev < 0 || ev >= n.Vars[v].Arity {
+			return fmt.Errorf("bayes: invalid evidence %d=%d", v, ev)
+		}
+	}
+	return nil
 }
 
 // nodeFactor builds the factor representation of node i's CPT: a factor
@@ -54,32 +58,20 @@ func (n *Network) Query(target int, evidence map[int]int) ([]float64, error) {
 	if target < 0 || target >= len(n.Vars) {
 		return nil, fmt.Errorf("bayes: target %d out of range", target)
 	}
+	if err := n.checkEvidence(evidence); err != nil {
+		return nil, err
+	}
 	if ev, ok := evidence[target]; ok {
 		// The target is observed: a point mass.
 		out := make([]float64, n.Vars[target].Arity)
-		if ev < 0 || ev >= len(out) {
-			return nil, fmt.Errorf("bayes: evidence %d out of range for variable %d", ev, target)
-		}
 		out[ev] = 1
 		return out, nil
 	}
-	for _, v := range sortedVars(evidence) {
-		if v < 0 || v >= len(n.Vars) {
-			return nil, fmt.Errorf("bayes: evidence variable %d out of range", v)
-		}
-		if ev := evidence[v]; ev < 0 || ev >= n.Vars[v].Arity {
-			return nil, fmt.Errorf("bayes: evidence value %d out of range for variable %d", ev, v)
-		}
-	}
 
-	// Build all node factors, reduced by the evidence.
-	factors := make([]*Factor, 0, len(n.Vars))
-	for i := range n.Vars {
-		factors = append(factors, n.nodeFactor(i).Reduce(evidence))
-	}
 	// Eliminate every hidden variable except the target, in reverse index
 	// order (children before parents keeps intermediate factors small under
 	// the left-to-right ordering constraint).
+	factors := n.reducedFactors(evidence)
 	for v := len(n.Vars) - 1; v >= 0; v-- {
 		if v == target {
 			continue
@@ -87,39 +79,51 @@ func (n *Network) Query(target int, evidence map[int]int) ([]float64, error) {
 		if _, observed := evidence[v]; observed {
 			continue
 		}
-		var involved []*Factor
-		var rest []*Factor
-		for _, f := range factors {
-			if mentions(f, v) {
-				involved = append(involved, f)
-			} else {
-				rest = append(rest, f)
-			}
-		}
-		if len(involved) == 0 {
-			continue
-		}
-		prod := involved[0]
-		for _, f := range involved[1:] {
-			prod = Product(prod, f)
-		}
-		factors = append(rest, prod.SumOut(v))
+		factors, _ = eliminate(factors, v)
 	}
-	// Multiply what remains (all factors now mention only the target or are
-	// constants).
-	result := NewFactor([]int{target}, []int{n.Vars[target].Arity})
-	for i := range result.Values {
-		result.Values[i] = 1
-	}
-	for _, f := range factors {
+	// Multiply what remains: every other variable was eliminated or
+	// reduced away, so the factors are constants or over the target alone,
+	// and the target's own CPT factor left at least one of the latter.
+	result := factors[0]
+	for _, f := range factors[1:] {
 		result = Product(result, f)
 	}
-	// The result may mention only the target; normalize to a distribution.
-	result = marginalTo(result, target)
 	if !result.Normalize() {
 		return nil, fmt.Errorf("bayes: evidence has zero probability")
 	}
 	return append([]float64(nil), result.Values...), nil
+}
+
+// reducedFactors returns every node's CPT factor reduced by the
+// evidence, in node order: the starting list of variable elimination.
+func (n *Network) reducedFactors(evidence map[int]int) []*Factor {
+	factors := make([]*Factor, 0, len(n.Vars))
+	for i := range n.Vars {
+		factors = append(factors, n.nodeFactor(i).Reduce(evidence))
+	}
+	return factors
+}
+
+// eliminate is one step of variable elimination (Zhang & Poole, 1994):
+// it multiplies, in list order, the factors that mention v into phi and
+// returns the others followed by phi with v summed out. With no factor
+// mentioning v, phi is nil and factors come back unchanged. The list
+// order fixes the floating-point result, so Query and CondSampler rows
+// depend on it.
+func eliminate(factors []*Factor, v int) (rest []*Factor, phi *Factor) {
+	for _, f := range factors {
+		if !mentions(f, v) {
+			rest = append(rest, f)
+		} else if phi == nil {
+			phi = f
+		} else {
+			phi = Product(phi, f)
+		}
+	}
+	if phi == nil {
+		return factors, nil
+	}
+	return append(rest, phi.SumOut(v)), phi
 }
 
 func mentions(f *Factor, v int) bool {
@@ -129,17 +133,6 @@ func mentions(f *Factor, v int) bool {
 		}
 	}
 	return false
-}
-
-// marginalTo sums out every variable except keep.
-func marginalTo(f *Factor, keep int) *Factor {
-	out := f
-	for _, v := range f.Vars {
-		if v != keep {
-			out = out.SumOut(v)
-		}
-	}
-	return out
 }
 
 // Posteriors returns the posterior distribution of every variable given the
@@ -157,65 +150,6 @@ func (n *Network) Posteriors(evidence map[int]int) ([][]float64, error) {
 	return out, nil
 }
 
-// ProbEvidence returns the probability of the evidence configuration,
-// P(evidence), computed by variable elimination.
-func (n *Network) ProbEvidence(evidence map[int]int) (float64, error) {
-	for _, v := range sortedVars(evidence) {
-		if ev := evidence[v]; v < 0 || v >= len(n.Vars) || ev < 0 || ev >= n.Vars[v].Arity {
-			return 0, fmt.Errorf("bayes: invalid evidence %d=%d", v, ev)
-		}
-	}
-	factors := make([]*Factor, 0, len(n.Vars))
-	for i := range n.Vars {
-		factors = append(factors, n.nodeFactor(i).Reduce(evidence))
-	}
-	for v := len(n.Vars) - 1; v >= 0; v-- {
-		if _, observed := evidence[v]; observed {
-			continue
-		}
-		var involved, rest []*Factor
-		for _, f := range factors {
-			if mentions(f, v) {
-				involved = append(involved, f)
-			} else {
-				rest = append(rest, f)
-			}
-		}
-		if len(involved) == 0 {
-			continue
-		}
-		prod := involved[0]
-		for _, f := range involved[1:] {
-			prod = Product(prod, f)
-		}
-		factors = append(rest, prod.SumOut(v))
-	}
-	p := 1.0
-	for _, f := range factors {
-		p *= f.Sum()
-	}
-	return p, nil
-}
-
-// SampleConditional draws one complete assignment from the posterior
-// distribution P(X | evidence): each unobserved variable is sampled from
-// its exact conditional given the evidence and the values sampled so
-// far. This is exact (not importance-weighted) and is how the model
-// generates candidate addresses constrained to particular segment values
-// (§4.4, §5.5).
-//
-// It compiles a CondSampler per call; callers drawing many samples under
-// the same evidence should build the sampler once with NewCondSampler —
-// the variable elimination the conditioning requires then runs once per
-// evidence set instead of once per variable per draw.
-func (n *Network) SampleConditional(rng *rand.Rand, evidence map[int]int) ([]int, error) {
-	cs, err := n.NewCondSampler(evidence)
-	if err != nil {
-		return nil, err
-	}
-	return cs.SampleInto(rng, make([]int, len(n.Vars))), nil
-}
-
 // MutualInformation computes the mutual information (in bits) between two
 // variables under the joint distribution encoded by the network, optionally
 // conditioned on evidence. It is a convenience used to rank dependencies
@@ -228,6 +162,10 @@ func (n *Network) MutualInformation(a, b int, evidence map[int]int) (float64, er
 	if err != nil {
 		return 0, err
 	}
+	pb, err := n.Query(b, evidence)
+	if err != nil {
+		return 0, err
+	}
 	mi := 0.0
 	for va := 0; va < n.Vars[a].Arity; va++ {
 		if pa[va] <= 0 {
@@ -237,10 +175,6 @@ func (n *Network) MutualInformation(a, b int, evidence map[int]int) (float64, er
 		maps.Copy(ev, evidence)
 		ev[a] = va
 		pbGivenA, err := n.Query(b, ev)
-		if err != nil {
-			return 0, err
-		}
-		pb, err := n.Query(b, evidence)
 		if err != nil {
 			return 0, err
 		}

@@ -168,43 +168,21 @@ func TestPosteriors(t *testing.T) {
 	}
 }
 
-func TestProbEvidence(t *testing.T) {
-	net := sprinklerNetwork()
-	p, err := net.ProbEvidence(map[int]int{0: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(p, 0.2) {
-		t.Errorf("P(Rain=1) = %v", p)
-	}
-	pw, err := net.ProbEvidence(map[int]int{2: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.8*(0.6*0+0.4*0.9) + 0.2*(0.99*0.8+0.01*0.99)
-	if math.Abs(pw-want) > 1e-9 {
-		t.Errorf("P(Wet=1) = %v, want %v", pw, want)
-	}
-	if _, err := net.ProbEvidence(map[int]int{0: 7}); err == nil {
-		t.Error("expected error for invalid evidence")
-	}
-	// Empty evidence has probability 1.
-	p1, err := net.ProbEvidence(nil)
-	if err != nil || math.Abs(p1-1) > 1e-9 {
-		t.Errorf("P(nothing) = %v, %v", p1, err)
-	}
-}
-
+// TestSampleConditionalRespectsEvidence draws from a CondSampler under
+// evidence on a later variable and checks the evidential reasoning
+// against Query.
 func TestSampleConditionalRespectsEvidence(t *testing.T) {
 	net := sprinklerNetwork()
 	rng := rand.New(rand.NewSource(1))
+	cs, err := net.NewCondSampler(map[int]int{2: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]int, cs.NumVars())
 	const n = 5000
 	rainCount := 0
 	for i := 0; i < n; i++ {
-		s, err := net.SampleConditional(rng, map[int]int{2: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := cs.SampleInto(rng, buf)
 		if s[2] != 1 {
 			t.Fatal("evidence not respected")
 		}
@@ -217,21 +195,25 @@ func TestSampleConditionalRespectsEvidence(t *testing.T) {
 	if math.Abs(got-want[1]) > 0.03 {
 		t.Errorf("conditional sampling P(Rain=1|Wet=1) = %v, want %v", got, want[1])
 	}
-	if _, err := net.SampleConditional(rng, map[int]int{0: 9}); err == nil {
+	if _, err := net.NewCondSampler(map[int]int{0: 9}); err == nil {
 		t.Error("expected error for invalid evidence")
 	}
 }
 
+// TestSampleConditionalNoEvidenceMatchesForward checks that a CondSampler
+// without evidence draws from the prior.
 func TestSampleConditionalNoEvidenceMatchesForward(t *testing.T) {
 	net := sprinklerNetwork()
 	rng := rand.New(rand.NewSource(2))
+	cs, err := net.NewCondSampler(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]int, cs.NumVars())
 	const n = 8000
 	wet := 0
 	for i := 0; i < n; i++ {
-		s, err := net.SampleConditional(rng, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := cs.SampleInto(rng, buf)
 		if s[2] == 1 {
 			wet++
 		}
@@ -315,14 +297,19 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkSampleConditional(b *testing.B) {
+// BenchmarkNewCondSampler compiles a conditional sampler and draws once
+// from it: the per-request cost of a one-candidate evidence query.
+func BenchmarkNewCondSampler(b *testing.B) {
 	data, vars := chainData(2000, 22)
 	net, _ := Learn(data, vars, LearnConfig{})
 	rng := rand.New(rand.NewSource(1))
+	buf := make([]int, net.NumVars())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.SampleConditional(rng, map[int]int{2: 1}); err != nil {
+		cs, err := net.NewCondSampler(map[int]int{2: 1})
+		if err != nil {
 			b.Fatal(err)
 		}
+		cs.SampleInto(rng, buf)
 	}
 }

@@ -144,11 +144,8 @@ type condNode struct {
 // returns an error for invalid evidence or evidence with zero
 // probability under the network.
 func (n *Network) NewCondSampler(evidence map[int]int) (*CondSampler, error) {
-	vars := sortedVars(evidence)
-	for _, v := range vars {
-		if ev := evidence[v]; v < 0 || v >= len(n.Vars) || ev < 0 || ev >= n.Vars[v].Arity {
-			return nil, fmt.Errorf("bayes: invalid evidence %d=%d", v, ev)
-		}
+	if err := n.checkEvidence(evidence); err != nil {
+		return nil, err
 	}
 	cs := &CondSampler{
 		numVars: len(n.Vars),
@@ -156,9 +153,9 @@ func (n *Network) NewCondSampler(evidence map[int]int) (*CondSampler, error) {
 	}
 	for v := range cs.fixed {
 		cs.fixed[v] = -1
-	}
-	for _, v := range vars {
-		cs.fixed[v] = evidence[v]
+		if ev, ok := evidence[v]; ok {
+			cs.fixed[v] = ev
+		}
 	}
 
 	// One backward variable-elimination pass. Eliminating in descending
@@ -166,32 +163,18 @@ func (n *Network) NewCondSampler(evidence map[int]int) (*CondSampler, error) {
 	// that when v is eliminated every remaining factor mentions only
 	// variables <= v, so the product factor φ_v scopes v plus earlier
 	// variables only — exactly what forward sampling needs.
-	factors := make([]*Factor, 0, len(n.Vars))
-	for i := range n.Vars {
-		factors = append(factors, n.nodeFactor(i).Reduce(evidence))
-	}
+	factors := n.reducedFactors(evidence)
 	for v := len(n.Vars) - 1; v >= 0; v-- {
 		if cs.fixed[v] >= 0 {
 			continue
 		}
-		var involved, rest []*Factor
-		for _, f := range factors {
-			if mentions(f, v) {
-				involved = append(involved, f)
-			} else {
-				rest = append(rest, f)
-			}
-		}
-		if len(involved) == 0 {
+		var phi *Factor
+		factors, phi = eliminate(factors, v)
+		if phi == nil {
 			// Unreachable: v's own node factor always mentions it.
 			continue
 		}
-		prod := involved[0]
-		for _, f := range involved[1:] {
-			prod = Product(prod, f)
-		}
-		cs.nodes = append(cs.nodes, compileCondNode(v, n.Vars[v].Arity, prod))
-		factors = append(rest, prod.SumOut(v))
+		cs.nodes = append(cs.nodes, compileCondNode(v, n.Vars[v].Arity, phi))
 	}
 	// What remains are variable-free constants whose product is the
 	// evidence probability; reject impossible evidence up front rather

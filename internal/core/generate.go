@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 
 	"entropyip/internal/ip6"
 	"entropyip/internal/parallel"
@@ -41,8 +43,6 @@ type GenerateOptions struct {
 	// logical substreams that are merged in a worker-independent
 	// round-robin order.
 	Workers int
-	// Deprecated: ignored; every stream is ordered.
-	Unordered bool
 }
 
 // stopPollInterval is how many draws pass between Stop polls when no
@@ -63,8 +63,8 @@ const genSubstreams = 64
 // identically, so callers exposing the knob (the serve API) cap at this.
 const MaxGenerateWorkers = genSubstreams
 
-// genParallelCutoff is the Count below which generation always runs
-// sequentially: the parallel setup (one producer goroutine per
+// genParallelCutoff is the Count below which generation always draws
+// on the calling goroutine: the producer setup (one goroutine per
 // substream, each eagerly filling batches) costs more draws than a
 // small request needs. The emitted candidates are identical either way.
 const genParallelCutoff = 1024
@@ -102,23 +102,21 @@ type drawFunc func(rng *rand.Rand, buf []int) (ip6.Addr, error)
 // whose variable-elimination work runs once here instead of once per
 // variable per draw. mask64 truncates drawn addresses to their /64.
 func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
-	enc := m.Encoder()
+	var s interface {
+		SampleInto(rng *rand.Rand, buf []int) []int
+	}
 	if len(evidence) == 0 {
-		s := m.Net.NewSampler()
-		return func(rng *rand.Rand, buf []int) (ip6.Addr, error) {
-			a, err := enc.Decode(s.SampleInto(rng, buf), rng)
-			if err == nil && mask64 {
-				a = ip6.Mask(a, 64)
-			}
-			return a, err
-		}, nil
+		s = m.Net.NewSampler()
+	} else {
+		cs, err := m.Net.NewCondSampler(evidence)
+		if err != nil {
+			return nil, err
+		}
+		s = cs
 	}
-	cs, err := m.Net.NewCondSampler(evidence)
-	if err != nil {
-		return nil, err
-	}
+	enc := m.Encoder()
 	return func(rng *rand.Rand, buf []int) (ip6.Addr, error) {
-		a, err := enc.Decode(cs.SampleInto(rng, buf), rng)
+		a, err := enc.Decode(s.SampleInto(rng, buf), rng)
 		if err == nil && mask64 {
 			a = ip6.Mask(a, 64)
 		}
@@ -126,8 +124,23 @@ func (m *Model) newDraw(evidence map[int]int, mask64 bool) (drawFunc, error) {
 	}, nil
 }
 
+// ErrGeneratorPanic marks a generation error that stands for a panic
+// recovered in a producer goroutine: a bug, not bad input.
+var ErrGeneratorPanic = errors.New("core: generator panicked")
+
+// PanicError is the error generation returns when a producer goroutine
+// panicked. It unwraps to ErrGeneratorPanic.
+type PanicError struct {
+	Value any    // the recovered panic value
+	Stack []byte // the producer's stack at the panic
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("%v: %v", ErrGeneratorPanic, e.Value) }
+
+func (e *PanicError) Unwrap() error { return ErrGeneratorPanic }
+
 // genRun is one generation run: the compiled draw function plus the
-// limits and sinks shared by the sequential and parallel executions.
+// limits and sinks of the merge loop.
 type genRun struct {
 	count          int
 	maxAttempts    int
@@ -172,43 +185,67 @@ func (m *Model) generate(opts GenerateOptions, mask64 bool, excluded func(ip6.Ad
 	if r.workers > genSubstreams {
 		r.workers = genSubstreams
 	}
+	return r.run()
+}
+
+// run picks the draw source and merges it. Only the chosen source is
+// built: producers draw up to two batches ahead per substream, which a
+// small request would mostly throw away.
+func (r *genRun) run() error {
 	if r.workers <= 1 || r.count < genParallelCutoff {
-		return r.runSequential()
+		// The inline source draws on this goroutine.
+		var rngs [genSubstreams]*rand.Rand
+		var bufs [genSubstreams][]int
+		flat := make([]int, genSubstreams*r.bufLen)
+		for i := range rngs {
+			rngs[i] = stats.Split(r.seed, int64(i))
+			bufs[i] = flat[i*r.bufLen : (i+1)*r.bufLen]
+		}
+		return r.merge(func(s int) (ip6.Addr, error) { return r.draw(rngs[s], bufs[s]) })
 	}
-	return r.runOrdered()
+	// The producer source: one goroutine per substream draws batches
+	// ahead, at most workers of them at a time.
+	done := make(chan struct{})
+	defer close(done)
+	sem := make(chan struct{}, r.workers)
+	batch := r.batchSize()
+	var chans [genSubstreams]chan drawBatch
+	for i := range chans {
+		// Two batches in flight let a producer draw the next batch while
+		// the merger consumes the current one.
+		chans[i] = make(chan drawBatch, 2)
+		go r.produce(i, chans[i], sem, done, batch)
+	}
+	var cur [genSubstreams]drawBatch
+	var idx [genSubstreams]int
+	return r.merge(func(s int) (ip6.Addr, error) {
+		for idx[s] == len(cur[s].addrs) {
+			if err := cur[s].err; err != nil {
+				return ip6.Addr{}, err
+			}
+			cur[s] = <-chans[s]
+			idx[s] = 0
+		}
+		idx[s]++
+		return cur[s].addrs[idx[s]-1], nil
+	})
 }
 
-// pollStop reports whether generation should halt at this attempt.
-func (r *genRun) pollStop(attempts int) bool {
-	if r.stop == nil {
-		return false
-	}
-	if r.perAttemptStop || attempts%stopPollInterval == 0 {
-		return r.stop()
-	}
-	return false
-}
-
-// runSequential is the single-goroutine execution; it defines the
-// canonical candidate order the ordered-parallel execution reproduces:
-// attempt k consumes the next draw of substream k % genSubstreams.
-func (r *genRun) runSequential() error {
-	rngs := make([]*rand.Rand, genSubstreams)
-	bufs := make([][]int, genSubstreams)
-	flat := make([]int, genSubstreams*r.bufLen)
-	for i := range rngs {
-		rngs[i] = stats.Split(r.seed, int64(i))
-		bufs[i] = flat[i*r.bufLen : (i+1)*r.bufLen]
-	}
+// merge is the one generation loop. Attempt k takes next(k %
+// genSubstreams), the next draw of that substream from one of the two
+// sources, so the candidate order depends only on the model, seed and
+// options, never on the source or the worker count. It applies Stop,
+// exclusion, dedup and the attempt budget.
+func (r *genRun) merge(next func(stream int) (ip6.Addr, error)) error {
 	seen := ip6.NewSet(setCapacity(r.count))
 	emitted, attempts := 0, 0
 	for emitted < r.count && attempts < r.maxAttempts {
 		s := attempts % genSubstreams
 		attempts++
-		if r.pollStop(attempts) {
+		if r.stop != nil && (r.perAttemptStop || attempts%stopPollInterval == 0) && r.stop() {
 			return nil
 		}
-		a, err := r.draw(rngs[s], bufs[s])
+		a, err := next(s)
 		if err != nil {
 			return err
 		}
@@ -246,64 +283,10 @@ func (r *genRun) batchSize() int {
 	return b
 }
 
-// runOrdered is the deterministic parallel execution: every substream
-// produces its draws concurrently (at most workers of them computing at
-// a time), and the consuming goroutine merges them in the same
-// round-robin order runSequential uses, applying dedup, exclusion, the
-// attempt budget and Stop on the merged sequence — so the emitted
-// candidates are byte-identical to the sequential ones.
-func (r *genRun) runOrdered() error {
-	done := make(chan struct{})
-	defer close(done)
-	sem := make(chan struct{}, r.workers)
-	chans := make([]chan drawBatch, genSubstreams)
-	batch := r.batchSize()
-	for i := range chans {
-		chans[i] = make(chan drawBatch, 2)
-		go r.produce(i, chans[i], sem, done, batch)
-	}
-	seen := ip6.NewSet(setCapacity(r.count))
-	var cur [genSubstreams]drawBatch
-	var idx [genSubstreams]int
-	emitted, attempts := 0, 0
-	for emitted < r.count && attempts < r.maxAttempts {
-		s := attempts % genSubstreams
-		attempts++
-		if r.pollStop(attempts) {
-			return nil
-		}
-		if idx[s] == len(cur[s].addrs) {
-			if err := cur[s].err; err != nil {
-				return err
-			}
-			cur[s] = <-chans[s]
-			idx[s] = 0
-			if len(cur[s].addrs) == 0 {
-				if cur[s].err != nil {
-					return cur[s].err
-				}
-				continue // defensive: empty errorless batch
-			}
-		}
-		a := cur[s].addrs[idx[s]]
-		idx[s]++
-		if r.excluded(a) {
-			continue
-		}
-		if seen.Add(a) {
-			emitted++
-			if !r.yield(a) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// produce draws batches for one substream until done closes. The
-// semaphore bounds how many substreams compute simultaneously (the
-// Workers option); while blocked on a full output buffer a producer
-// holds no semaphore slot.
+// produce draws batches for one substream until done closes or a batch
+// ends in an error. The semaphore bounds how many substreams compute
+// simultaneously (the Workers option); while blocked on a full output
+// buffer a producer holds no semaphore slot.
 func (r *genRun) produce(stream int, out chan<- drawBatch, sem chan struct{}, done <-chan struct{}, batch int) {
 	rng := stats.Split(r.seed, int64(stream))
 	buf := make([]int, r.bufLen)
@@ -313,26 +296,11 @@ func (r *genRun) produce(stream int, out chan<- drawBatch, sem chan struct{}, do
 		case <-done:
 			return
 		}
-		b := drawBatch{addrs: make([]ip6.Addr, 0, batch)}
-		for len(b.addrs) < batch {
-			if r.perAttemptStop {
-				// Expensive draws: notice cancellation mid-batch instead
-				// of finishing it.
-				select {
-				case <-done:
-					<-sem
-					return
-				default:
-				}
-			}
-			a, err := r.draw(rng, buf)
-			if err != nil {
-				b.err = err
-				break
-			}
-			b.addrs = append(b.addrs, a)
-		}
+		b, cancelled := r.fill(rng, buf, batch, done)
 		<-sem
+		if cancelled {
+			return
+		}
 		select {
 		case out <- b:
 		case <-done:
@@ -342,6 +310,36 @@ func (r *genRun) produce(stream int, out chan<- drawBatch, sem chan struct{}, do
 			return
 		}
 	}
+}
+
+// fill draws one batch of a substream. A panic in the draw would kill
+// the process from this goroutine, so it is recovered and replaces the
+// batch with a *PanicError, which the merge loop returns like any draw
+// error. cancelled reports that done closed mid-batch.
+func (r *genRun) fill(rng *rand.Rand, buf []int, n int, done <-chan struct{}) (b drawBatch, cancelled bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			b = drawBatch{err: &PanicError{Value: p, Stack: debug.Stack()}}
+		}
+	}()
+	addrs := make([]ip6.Addr, 0, n)
+	for len(addrs) < n {
+		if r.perAttemptStop {
+			// Expensive draws: notice cancellation mid-batch instead
+			// of finishing it.
+			select {
+			case <-done:
+				return drawBatch{}, true
+			default:
+			}
+		}
+		a, err := r.draw(rng, buf)
+		if err != nil {
+			return drawBatch{addrs, err}, false
+		}
+		addrs = append(addrs, a)
+	}
+	return drawBatch{addrs: addrs}, false
 }
 
 // GenerateStream draws unique candidate IPv6 addresses from the model's

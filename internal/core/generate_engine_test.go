@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,7 +95,7 @@ func TestGeneratePrefixesDeterministicAcrossWorkers(t *testing.T) {
 
 // TestGenerateParallelExcludeEvidence checks exclusion and evidence on
 // the parallel engine: with Count >= genParallelCutoff and several
-// workers, runOrdered (not runSequential) merges the substreams, and the
+// workers, the merge loop reads producer batches, and the
 // requested count, uniqueness, exclusion and evidence must all hold.
 func TestGenerateParallelExcludeEvidence(t *testing.T) {
 	m, addrs := buildTestModel(t, 4000, 25, Options{})
@@ -135,6 +138,45 @@ func TestGenerateParallelExcludeEvidence(t *testing.T) {
 		if !want.Contains(sm.Seg.Value(a)) {
 			t.Fatalf("candidate %v violates evidence %v", a, ev)
 		}
+	}
+}
+
+// TestGenerateProducerPanicIsError pins panic containment in the
+// producer goroutines: draws panic from the 100th on, inside the first
+// batch of most substreams, and that surfaces as a *PanicError from the
+// run instead of killing the process; every producer goroutine exits
+// once the run returns.
+func TestGenerateProducerPanicIsError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var draws atomic.Int64
+	r := &genRun{
+		count:       genParallelCutoff,
+		maxAttempts: 20 * genParallelCutoff,
+		draw: func(rng *rand.Rand, buf []int) (ip6.Addr, error) {
+			if draws.Add(1) >= 100 {
+				panic("draw exploded")
+			}
+			return ip6.AddrFromUint64s(0, rng.Uint64()), nil
+		},
+		excluded: func(ip6.Addr) bool { return false },
+		yield:    func(ip6.Addr) bool { return true },
+		workers:  2,
+		bufLen:   1,
+	}
+	err := r.run()
+	if !errors.Is(err, ErrGeneratorPanic) {
+		t.Fatalf("run returned %v, want an ErrGeneratorPanic", err)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "draw exploded" || len(pe.Stack) == 0 {
+		t.Fatalf("panic error %#v lacks the panic value or stack", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -97,25 +97,36 @@ type Model struct {
 // ErrNoData is returned when a model is built from an empty training set.
 var ErrNoData = errors.New("core: no training addresses")
 
+// TrainingSet returns the addresses a model with these options is
+// trained on: for Prefix64Only, each address masked to its /64 network
+// identifier, first occurrences kept in input order; otherwise addrs
+// itself. Drift scoring applies the same transform to observation
+// windows, so a window is compared with the distribution the model
+// learned.
+func (o Options) TrainingSet(addrs []ip6.Addr) []ip6.Addr {
+	if !o.Prefix64Only {
+		return addrs
+	}
+	masked := make([]ip6.Addr, 0, len(addrs))
+	seen := ip6.NewSet(len(addrs))
+	for _, a := range addrs {
+		p := ip6.Mask(a, 64)
+		if seen.Add(p) {
+			masked = append(masked, p)
+		}
+	}
+	return masked
+}
+
 // Build trains an Entropy/IP model on the given addresses.
 func Build(addrs []ip6.Addr, opts Options) (*Model, error) {
 	if len(addrs) == 0 {
 		return nil, ErrNoData
 	}
-	train := addrs
+	train := opts.TrainingSet(addrs)
 	segCfg := opts.Segmentation
 	if opts.Prefix64Only {
-		// Operate on network identifiers: mask the low 64 bits and model
-		// only the first 16 nybbles.
-		masked := make([]ip6.Addr, 0, len(addrs))
-		seen := ip6.NewSet(len(addrs))
-		for _, a := range addrs {
-			p := ip6.Mask(a, 64)
-			if seen.Add(p) {
-				masked = append(masked, p)
-			}
-		}
-		train = masked
+		// Model only the first 16 nybbles of the network identifiers.
 		if segCfg.MaxNybble == 0 || segCfg.MaxNybble > 16 {
 			segCfg.MaxNybble = 16
 		}
@@ -207,24 +218,28 @@ func (m *Model) evidenceIndices(ev Evidence) (map[int]int, error) {
 	sort.Strings(labels)
 	out := make(map[int]int, len(ev))
 	for _, label := range labels {
-		code := ev[label]
-		idx, sm, ok := m.SegmentByLabel(label)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown segment %q", label)
+		v, k, err := m.codeIndex(label, ev[label])
+		if err != nil {
+			return nil, err
 		}
-		found := -1
-		for k, v := range sm.Values {
-			if v.Code == code {
-				found = k
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("core: segment %q has no value code %q", label, code)
-		}
-		out[idx] = found
+		out[v] = k
 	}
 	return out, nil
+}
+
+// codeIndex resolves a segment label and value code into the BN variable
+// and its category.
+func (m *Model) codeIndex(label, code string) (v, k int, err error) {
+	v, sm, ok := m.SegmentByLabel(label)
+	if !ok {
+		return 0, 0, fmt.Errorf("core: unknown segment %q", label)
+	}
+	for k, val := range sm.Values {
+		if val.Code == code {
+			return v, k, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("core: segment %q has no value code %q", label, code)
 }
 
 // EvidenceFromAddr builds evidence fixing the given segments to the codes
@@ -295,19 +310,9 @@ func (m *Model) Browse(ev Evidence) ([]SegmentDistribution, error) {
 // ConditionalProb returns P(target segment takes the value with the given
 // code | evidence), the quantity tabulated in the paper's Table 2.
 func (m *Model) ConditionalProb(targetLabel, targetCode string, ev Evidence) (float64, error) {
-	tIdx, sm, ok := m.SegmentByLabel(targetLabel)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown segment %q", targetLabel)
-	}
-	cIdx := -1
-	for k, v := range sm.Values {
-		if v.Code == targetCode {
-			cIdx = k
-			break
-		}
-	}
-	if cIdx < 0 {
-		return 0, fmt.Errorf("core: segment %q has no value code %q", targetLabel, targetCode)
+	tIdx, cIdx, err := m.codeIndex(targetLabel, targetCode)
+	if err != nil {
+		return 0, err
 	}
 	indices, err := m.evidenceIndices(ev)
 	if err != nil {

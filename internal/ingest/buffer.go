@@ -10,15 +10,13 @@
 // readers take consistent snapshots for scoring and retraining without
 // stopping the writers for more than a per-shard copy.
 //
-// Memory is bounded three ways: a sliding window of the last W accepted
-// addresses (old observations are overwritten in ring order), an optional
-// per-/64 cap so that one chatty prefix cannot monopolize the window, and
-// a fixed-size uniform reservoir sample over everything ever observed
-// (Vitter's algorithm R) for a long-horizon view.
+// Memory is bounded two ways: a sliding window of the last W accepted
+// addresses (old observations are overwritten in ring order), and an
+// optional per-/64 cap so that one chatty prefix cannot monopolize the
+// window.
 package ingest
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,11 +24,9 @@ import (
 	"entropyip/internal/ip6"
 )
 
-// Defaults used when Config fields are zero.
-const (
-	DefaultWindowSize    = 16384
-	DefaultReservoirSize = 2048
-)
+// DefaultWindowSize is the window size used when Config.WindowSize is
+// zero.
+const DefaultWindowSize = 16384
 
 // Config configures a Buffer.
 type Config struct {
@@ -49,18 +45,6 @@ type Config struct {
 	// picks min(GOMAXPROCS, 8). Addresses shard by /64 prefix hash, so the
 	// per-/64 accounting stays shard-local.
 	Shards int
-	// ReservoirSize is the size of the sample kept over all observations
-	// ever seen (not just the window). The reservoir is sharded with the
-	// window (algorithm R per shard, capacity split evenly), so sampling
-	// adds no cross-shard lock; each shard's sample is exactly uniform
-	// over its own /64-partitioned substream, making the merged sample
-	// approximately uniform overall (exactly, when shards see equal
-	// traffic). Zero means DefaultReservoirSize; negative disables the
-	// reservoir.
-	ReservoirSize int
-	// Seed seeds the reservoir's RNG. The window itself is deterministic;
-	// only the reservoir is randomized.
-	Seed int64
 }
 
 func (c Config) windowSize() int {
@@ -84,16 +68,6 @@ func (c Config) shards() int {
 	return n
 }
 
-func (c Config) reservoirSize() int {
-	if c.ReservoirSize == 0 {
-		return DefaultReservoirSize
-	}
-	if c.ReservoirSize < 0 {
-		return 0
-	}
-	return c.ReservoirSize
-}
-
 // Stats is a snapshot of buffer counters.
 type Stats struct {
 	// Observed counts every address offered to Add.
@@ -112,10 +86,6 @@ type Stats struct {
 	WindowCapacity int `json:"window_capacity"`
 	// Prefixes64 is the number of distinct /64 prefixes in the window.
 	Prefixes64 int `json:"prefixes_64"`
-	// ReservoirReplaced counts long-horizon reservoir slots overwritten by
-	// algorithm R after the reservoir filled — the churn rate of the
-	// retraining sample.
-	ReservoirReplaced uint64 `json:"reservoir_replaced"`
 }
 
 // shard is one independently locked ring segment of the window.
@@ -128,14 +98,6 @@ type shard struct {
 	// when the per-/64 cap is on: a capped add replaces the prefix's
 	// oldest slot in place so the window never freezes on stale entries.
 	slots map[ip6.Prefix][]int
-	// res is this shard's slice of the long-horizon reservoir (algorithm
-	// R over the shard's substream); nil when the reservoir is disabled.
-	res []ip6.Addr
-	// rreplaced counts reservoir slots overwritten by algorithm R once the
-	// reservoir filled (summed into Stats.ReservoirReplaced).
-	rreplaced uint64
-	rseen     uint64
-	rng       *rand.Rand
 }
 
 // removeSlot deletes the first occurrence of idx from s, preserving order.
@@ -163,7 +125,6 @@ type Buffer struct {
 func New(cfg Config) *Buffer {
 	n := cfg.shards()
 	total := cfg.windowSize()
-	rs := cfg.reservoirSize()
 	b := &Buffer{cfg: cfg, shards: make([]*shard, n)}
 	for i := range b.shards {
 		// Distribute capacities as evenly as possible; every shard holds
@@ -181,17 +142,6 @@ func New(cfg Config) *Buffer {
 		}
 		if cfg.MaxPer64 > 0 {
 			b.shards[i].slots = make(map[ip6.Prefix][]int)
-		}
-		if rs > 0 {
-			rcap := rs / n
-			if i < rs%n {
-				rcap++
-			}
-			if rcap < 1 {
-				rcap = 1
-			}
-			b.shards[i].res = make([]ip6.Addr, 0, rcap)
-			b.shards[i].rng = rand.New(rand.NewSource(cfg.Seed + int64(i)))
 		}
 	}
 	return b
@@ -222,7 +172,6 @@ func (b *Buffer) Add(a ip6.Addr) bool {
 	s := b.shardFor(a)
 
 	s.mu.Lock()
-	s.sample(a)
 	if b.cfg.MaxPer64 > 0 {
 		if idxs := s.slots[p]; len(idxs) >= b.cfg.MaxPer64 {
 			// At the cap: replace this prefix's oldest entry in place and
@@ -280,21 +229,6 @@ func (b *Buffer) AddBatch(addrs []ip6.Addr) int {
 	return n
 }
 
-// sample feeds the shard's slice of the long-horizon reservoir
-// (algorithm R); caller holds the shard mutex.
-func (s *shard) sample(a ip6.Addr) {
-	if s.rng == nil {
-		return
-	}
-	s.rseen++
-	if len(s.res) < cap(s.res) {
-		s.res = append(s.res, a)
-	} else if j := s.rng.Uint64() % s.rseen; j < uint64(cap(s.res)) {
-		s.res[j] = a
-		s.rreplaced++
-	}
-}
-
 // Snapshot returns a copy of the current window contents. Writers are only
 // blocked shard by shard for the duration of one memcpy, never for the
 // whole snapshot; the result is therefore consistent per shard but may
@@ -306,22 +240,6 @@ func (b *Buffer) Snapshot() []ip6.Addr {
 	for _, s := range b.shards {
 		s.mu.Lock()
 		out = append(out, s.ring...)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// Reservoir returns a copy of the long-horizon sample over all
-// observations ever offered, merged across shards (nil when the
-// reservoir is disabled).
-func (b *Buffer) Reservoir() []ip6.Addr {
-	if b.cfg.reservoirSize() == 0 {
-		return nil
-	}
-	out := make([]ip6.Addr, 0, b.cfg.reservoirSize())
-	for _, s := range b.shards {
-		s.mu.Lock()
-		out = append(out, s.res...)
 		s.mu.Unlock()
 	}
 	return out
@@ -351,7 +269,6 @@ func (b *Buffer) Stats() Stats {
 		s.mu.Lock()
 		st.Window += len(s.ring)
 		st.Prefixes64 += len(s.per64)
-		st.ReservoirReplaced += s.rreplaced
 		s.mu.Unlock()
 	}
 	return st

@@ -19,7 +19,7 @@ func addr(t *testing.T, s string) ip6.Addr {
 
 func TestBufferWindowSlides(t *testing.T) {
 	// One shard so ring order is fully deterministic.
-	b := New(Config{WindowSize: 4, Shards: 1, ReservoirSize: -1})
+	b := New(Config{WindowSize: 4, Shards: 1})
 	for i := 0; i < 10; i++ {
 		if !b.Add(addr(t, fmt.Sprintf("2001:db8::%d", i+1))) {
 			t.Fatalf("Add %d rejected", i)
@@ -42,7 +42,7 @@ func TestBufferWindowSlides(t *testing.T) {
 }
 
 func TestBufferPer64CapKeepsNewest(t *testing.T) {
-	b := New(Config{WindowSize: 100, MaxPer64: 2, Shards: 1, ReservoirSize: -1})
+	b := New(Config{WindowSize: 100, MaxPer64: 2, Shards: 1})
 	// 5 addresses in one /64: only 2 window slots, holding the NEWEST two
 	// (a capped prefix's slots must not freeze on its first addresses).
 	for i := 0; i < 5; i++ {
@@ -74,7 +74,7 @@ func TestBufferPer64CapKeepsNewest(t *testing.T) {
 }
 
 func TestBufferPer64CapSlotsReleasedOnEviction(t *testing.T) {
-	b := New(Config{WindowSize: 2, MaxPer64: 2, Shards: 1, ReservoirSize: -1})
+	b := New(Config{WindowSize: 2, MaxPer64: 2, Shards: 1})
 	b.Add(addr(t, "2001:db8:0:1::1"))
 	b.Add(addr(t, "2001:db8:0:1::2"))
 	// Capped: replaces ::1 in place.
@@ -98,32 +98,8 @@ func TestBufferPer64CapSlotsReleasedOnEviction(t *testing.T) {
 	}
 }
 
-func TestBufferReservoirIsUniformSizeBounded(t *testing.T) {
-	b := New(Config{WindowSize: 8, Shards: 1, ReservoirSize: 16, Seed: 1})
-	for i := 0; i < 1000; i++ {
-		b.Add(addr(t, fmt.Sprintf("2001:db8::%x", i+1)))
-	}
-	res := b.Reservoir()
-	if len(res) != 16 {
-		t.Fatalf("reservoir = %d addresses, want 16", len(res))
-	}
-	// The reservoir spans all observations, not just the tiny window: with
-	// 1000 observed and a window of 8, at least one sampled address must
-	// predate the final window.
-	window := ip6.SetOf(b.Snapshot()...)
-	old := 0
-	for _, a := range res {
-		if !window.Contains(a) {
-			old++
-		}
-	}
-	if old == 0 {
-		t.Error("reservoir holds only the current window; should span history")
-	}
-}
-
 func TestBufferConcurrentAddSnapshot(t *testing.T) {
-	b := New(Config{WindowSize: 1024, MaxPer64: 4, Shards: 4, ReservoirSize: 64, Seed: 7})
+	b := New(Config{WindowSize: 1024, MaxPer64: 4, Shards: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -134,7 +110,6 @@ func TestBufferConcurrentAddSnapshot(t *testing.T) {
 				if i%64 == 0 {
 					_ = b.Snapshot()
 					_ = b.Stats()
-					_ = b.Reservoir()
 				}
 			}
 		}(w)
@@ -154,7 +129,7 @@ func TestBufferConcurrentAddSnapshot(t *testing.T) {
 
 func TestBufferShardCapacityCoversWindowSize(t *testing.T) {
 	// WindowSize not divisible by shards must still add up exactly.
-	b := New(Config{WindowSize: 10, Shards: 3, ReservoirSize: -1})
+	b := New(Config{WindowSize: 10, Shards: 3})
 	total := 0
 	for _, s := range b.shards {
 		total += cap(s.ring)

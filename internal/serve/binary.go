@@ -325,8 +325,9 @@ type streamWriter interface {
 // each claiming its own slot through the stream gate, and interleave
 // their frames or lines on the shared sink. A single stream that fails
 // before its sink received anything is answered with the JSON error
-// envelope; every other failure, and a drain that cuts a stream short,
-// reports in-band through the stream's Error frame or error line.
+// envelope, a 500 when a generator panicked and a 400 otherwise; every
+// other failure, and a drain that cuts a stream short, reports in-band
+// through the stream's Error frame or error line.
 func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core.Model, enc encoding, req *GenerateRequest, streams []resolvedStream, batch bool, release func()) {
 	ctx := r.Context()
 	if batch {
@@ -428,18 +429,26 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 			// more to say on the wire.
 		case err != nil:
 			span.SetError(err.Error())
+			var pe *core.PanicError
+			if errors.As(err, &pe) {
+				s.logStreamPanic(r, idx, pe.Value, pe.Stack)
+			}
 			if !batch && !sink.wroteAny() {
 				early = err
 				return
 			}
-			s.logger.Error("generate failed mid-stream",
-				"request_id", requestID(ctx),
-				"trace_id", traceID,
-				"model", r.PathValue("name"),
-				"stream", idx,
-				"encoding", enc.String(),
-				"err", err)
-			_ = sw.Error(err.Error())
+			msg := streamPanicMessage
+			if pe == nil {
+				s.logger.Error("generate failed mid-stream",
+					"request_id", requestID(ctx),
+					"trace_id", traceID,
+					"model", r.PathValue("name"),
+					"stream", idx,
+					"encoding", enc.String(),
+					"err", err)
+				msg = err.Error()
+			}
+			_ = sw.Error(msg)
 		case s.isDraining() && n < int64(st.count):
 			// Drain cut this stream short: say so in-band, so the client
 			// can tell the cut from exhausted model support.
@@ -451,7 +460,11 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 
 	if !batch {
 		runStream(0, root.StartChild("generate.stream"))
-		if early != nil {
+		switch {
+		case errors.Is(early, core.ErrGeneratorPanic):
+			writeError(w, r, http.StatusInternalServerError, streamPanicMessage)
+			return
+		case early != nil:
 			writeError(w, r, http.StatusBadRequest, "%v", early)
 			return
 		}
@@ -481,20 +494,30 @@ func (s *Server) generateStreams(w http.ResponseWriter, r *http.Request, m *core
 	s.candidates.Add(uint64(produced.Load()))
 }
 
-// streamPanicMessage is the in-band error of a batch stream whose
-// producer panicked; the details go to the log, not to the client.
+// streamPanicMessage is the error a client sees for a generate stream
+// that panicked, in-band or in a 500 envelope; the details go to the
+// log, not to the client.
 const streamPanicMessage = "internal server error"
 
 // recoverStream is deferred by every stream of a batch generate. Those
 // run on their own goroutines, beyond the handler middleware's recover,
-// where a panic would kill the process. It recovers one, logs it and
-// counts it in eip_http_panics_total like a handler panic, and ends that
-// stream alone with an in-band Error; the batch's other streams finish.
+// where a panic would kill the process. It recovers one, logs and counts
+// it, and ends that stream alone with an in-band Error; the batch's
+// other streams finish.
 func (s *Server) recoverStream(r *http.Request, idx int, span *trace.Span, sw streamWriter) {
 	p := recover()
 	if p == nil {
 		return
 	}
+	s.logStreamPanic(r, idx, p, debug.Stack())
+	span.SetError(fmt.Sprint("panic: ", p))
+	_ = sw.Error(streamPanicMessage)
+}
+
+// logStreamPanic logs a panic that ended a generate stream, recovered
+// on the stream's goroutine or in a generation producer, with its stack,
+// and counts it in eip_http_panics_total like a handler panic.
+func (s *Server) logStreamPanic(r *http.Request, idx int, p any, stack []byte) {
 	s.metrics.panicked()
 	s.logger.Error("generate stream panic",
 		"request_id", requestID(r.Context()),
@@ -502,63 +525,36 @@ func (s *Server) recoverStream(r *http.Request, idx int, span *trace.Span, sw st
 		"model", r.PathValue("name"),
 		"stream", idx,
 		"panic", fmt.Sprint(p),
-		"stack", string(debug.Stack()))
-	span.SetError(fmt.Sprint("panic: ", p))
-	_ = sw.Error(streamPanicMessage)
+		"stack", string(stack))
 }
 
-// observeBinary ingests a framed binary /observe body: address frames
-// stream into the model's observation window in the same bounded
-// batches as the text path. Malformed framing rejects the request — a
-// binary body is machine-written, so unlike text lines a bad frame is a
-// protocol error, not traffic noise to skip (there is no Invalid count
-// on this path).
-func (s *Server) observeBinary(w http.ResponseWriter, r *http.Request, name string) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.maxBodyBytes())
+// decodeObserveBinary is the binary observe decoder: it feeds the
+// addresses of every Addrs frame to add until the body ends or add
+// returns false. Malformed framing rejects the request: a binary body is
+// machine-written, so unlike text lines a bad frame is a protocol error,
+// not traffic noise to skip, and invalid stays 0.
+func decodeObserveBinary(body io.Reader, add func(ip6.Addr) bool) (invalid int, err error) {
 	rd := wireReaderPool.Get().(*wire.Reader)
 	defer wireReaderPool.Put(rd)
 	if err := rd.Reset(body); err != nil {
-		writeWireError(w, r, err)
-		return
+		return 0, &bodyError{msg: "invalid binary body", err: err}
 	}
 	if rd.Header().Prefixes() {
-		writeError(w, r, http.StatusBadRequest, "observe ingests addresses; prefix streams are not accepted")
-		return
+		return 0, &bodyError{msg: "observe ingests addresses; prefix streams are not accepted"}
 	}
-
-	var out ObserveResponse
-	// Same ingest span as the NDJSON path: it covers the frame decode and
-	// any drift evaluation a batch trips (a child, via the context).
-	span := requestSpan(r.Context()).StartChild("observe.ingest")
-	ctx := trace.ContextWithSpan(r.Context(), span)
-	defer func() {
-		span.SetInt("accepted", int64(out.Accepted))
-		span.Finish()
-	}()
-	batchp := observeBatchPool.Get().(*[]ip6.Addr)
-	batch := (*batchp)[:0]
-	defer func() {
-		*batchp = batch[:0]
-		observeBatchPool.Put(batchp)
-	}()
-decode:
 	for {
 		f, err := rd.Next()
 		switch {
 		case err == io.EOF:
-			break decode
+			return 0, nil
 		case err != nil:
-			writeWireError(w, r, err)
-			return
+			return 0, &bodyError{msg: "invalid binary body", err: err}
 		}
 		switch f.Kind {
 		case wire.KindAddrs:
 			for i := 0; i < f.Count; i++ {
-				batch = append(batch, f.Addr(i))
-				if len(batch) >= observeBatchSize {
-					if !s.observeFlush(ctx, w, r, name, &batch, &out) {
-						return
-					}
+				if !add(f.Addr(i)) {
+					return 0, nil
 				}
 			}
 		case wire.KindEnd:
@@ -571,28 +567,14 @@ decode:
 			// Trace frames identify the generate response they came from;
 			// a replayed capture carries one, and it is a no-op here.
 		default:
-			writeError(w, r, http.StatusBadRequest,
-				"unexpected frame kind 0x%02x in observe body", f.Kind)
-			return
+			return 0, unexpectedFrame(f.Kind)
 		}
 	}
-	if !s.observeFlush(ctx, w, r, name, &batch, &out) {
-		return
-	}
-	out.Drift, _ = s.refresher.Status(name)
-	writeJSON(w, http.StatusOK, out)
 }
 
-// writeWireError maps binary-decode failures onto the error envelope:
-// body-size overruns are 413 like everywhere else; anything wrong with
-// the framing itself is a 400.
-func writeWireError(w http.ResponseWriter, r *http.Request, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeError(w, r, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-		return
-	}
-	writeError(w, r, http.StatusBadRequest, "invalid binary body: %v", err)
+// unexpectedFrame is the error for a frame kind observe does not take.
+func unexpectedFrame(kind uint8) error {
+	return &bodyError{msg: fmt.Sprintf("unexpected frame kind 0x%02x in observe body", kind)}
 }
 
 // observeFlush pushes the accumulated batch into the model's window,

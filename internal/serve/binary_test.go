@@ -465,6 +465,67 @@ func TestBatchStreamPanicIsInBand(t *testing.T) {
 	}
 }
 
+// TestGeneratorPanicAnswers500 checks a panic in the generation
+// producers: a single stream that fails before its first byte gets a
+// 500 envelope, each batch stream ends with the in-band error, every
+// panic is counted, and the server keeps serving.
+func TestGeneratorPanicAnswers500(t *testing.T) {
+	s, reg := newTestServer(t, Options{})
+	m := testModel(t, 1)
+	if _, err := reg.Put("web", m); err != nil {
+		t.Fatal(err)
+	}
+	// The registry serves the cached *core.Model. A root CPT without rows
+	// compiles into a sampler whose every draw indexes out of range.
+	m.Net.CPTs[0].Rows = nil
+	// Count >= 1024 with two workers runs the producer goroutines.
+	w := do(t, s, "POST", "/v1/models/web/generate",
+		GenerateRequest{Count: 2000, Seed: seedPtr(1), Workers: 2})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("single stream: status = %d: %s", w.Code, w.Body.String())
+	}
+	var env errorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error.Message != streamPanicMessage {
+		t.Errorf("single stream: body %q (%v), want the %q envelope", w.Body.String(), err, streamPanicMessage)
+	}
+
+	specs := []GenerateStreamSpec{{Count: 2000, Seed: seedPtr(2)}, {Count: 2000, Seed: seedPtr(3)}}
+	req := httptest.NewRequest("POST", "/v1/models/web/generate",
+		bytes.NewReader(jsonBody(t, GenerateRequest{Streams: specs, Workers: 2})))
+	req.Header.Set("Accept", wire.ContentType)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: status = %d: %s", rec.Code, rec.Body.String())
+	}
+	rd, err := wire.NewReader(bytes.NewReader(rec.Body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := map[int]string{}
+	for {
+		f, err := rd.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("decoding frame: %v", err)
+		}
+		if f.Kind == wire.KindError {
+			failed[f.Stream] = f.Message()
+		}
+	}
+	if len(failed) != len(specs) || failed[0] != streamPanicMessage || failed[1] != streamPanicMessage {
+		t.Errorf("batch Error frames = %v, want %q on both streams", failed, streamPanicMessage)
+	}
+	if got := s.metrics.Snapshot().Panics; got != 3 {
+		t.Errorf("Panics = %d, want 3", got)
+	}
+	if w := do(t, s, "GET", "/healthz", nil); w.Code != http.StatusOK {
+		t.Errorf("healthz after generator panic: status = %d", w.Code)
+	}
+}
+
 // TestGenerateBatchValidation pins the batch-request validation errors.
 func TestGenerateBatchValidation(t *testing.T) {
 	s, reg := newTestServer(t, Options{MaxGenerateCount: 100})

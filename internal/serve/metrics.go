@@ -62,7 +62,8 @@ type MetricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// InFlight is the number of requests currently being handled.
 	InFlight int `json:"in_flight"`
-	// Panics is the number of handler panics recovered by the middleware.
+	// Panics is the number of panics recovered in request handlers,
+	// generate streams and background retrains.
 	Panics int64 `json:"panics,omitempty"`
 	// Routes maps "METHOD pattern" to that route's counters.
 	Routes map[string]RouteSnapshot `json:"routes"`
@@ -79,7 +80,7 @@ func newMetrics(o *obs.Registry) *Metrics {
 	}
 	o.GaugeFunc("eip_http_in_flight", "Requests currently being handled.",
 		func() float64 { return float64(m.inFlight.Value()) })
-	m.panics = o.Counter("eip_http_panics_total", "Handler panics recovered by the middleware.")
+	m.panics = o.Counter("eip_http_panics_total", "Panics recovered in request handlers, generate streams and background retrains.")
 	o.GaugeFunc("eip_uptime_seconds", "Seconds since the server was created.",
 		func() float64 { return time.Since(m.start).Seconds() })
 	return m

@@ -68,6 +68,7 @@ func (s *Server) registerObservability() {
 
 	s.refresher.logger = s.logger
 	s.refresher.stage = s.observeStage
+	s.refresher.panics = s.metrics.panics
 	s.refresher.retrains = o.Counter("eip_refresh_retrains_total",
 		"Drift-triggered retrains that ran (shed ones excluded).")
 	s.refresher.retrainSeconds = o.Histogram("eip_refresh_retrain_seconds",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -40,9 +41,6 @@ type RefreshOptions struct {
 	// log-likelihood on the live window must exceed the active model's
 	// before it may be published. Zero means any improvement.
 	ShadowMargin float64
-	// TrainWorkers bounds each retraining job's parallelism (0 = all
-	// cores), like Options.TrainWorkers for client-requested training.
-	TrainWorkers int
 	// OnEvent, if non-nil, receives loop events (evaluations that trip or
 	// clear the detector, rotations, shadow rejections) for logging.
 	OnEvent func(model, event, detail string)
@@ -135,6 +133,9 @@ type Refresher struct {
 	reg  *registry.Registry
 	pool *Pool
 	opts RefreshOptions
+	// trainWorkers bounds each retrain's parallelism (0 = all cores);
+	// serve.New sets it to Options.TrainWorkers.
+	trainWorkers int
 
 	// Observability wiring, installed by serve.New before traffic (tests
 	// constructing a bare Refresher get a nop logger and nil-safe metrics).
@@ -144,6 +145,8 @@ type Refresher struct {
 	stage          func(stage string, d time.Duration)
 	retrains       *obs.Counter
 	retrainSeconds *obs.Histogram
+	// panics counts retrains that panicked (eip_http_panics_total).
+	panics *obs.Counter
 	// tracer mints the refresh loop's own root traces: a retrain outlives
 	// the request that triggered it, so it gets a fresh trace linked back
 	// by a trigger_trace_id attribute instead of joining the request's.
@@ -314,7 +317,20 @@ func (r *Refresher) retrain(s *modelStream, triggerTraceID string) {
 	var rejected string
 	start := time.Now()
 	ran := false
-	err := r.pool.Do(context.Background(), func() error {
+	err := r.pool.Do(context.Background(), func() (err error) {
+		// A panic here would kill the process from this goroutine and
+		// leave the stream marked retraining forever; it becomes a
+		// failed retrain instead.
+		defer func() {
+			if p := recover(); p != nil {
+				if r.panics != nil {
+					r.panics.Inc()
+				}
+				r.logger.Error("retrain panic", "model", s.name, "trace_id", rootID,
+					"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+				err = fmt.Errorf("retrain panicked: %v", p)
+			}
+		}()
 		ran = true
 		root.RecordChild("pool.wait", time.Since(start))
 		active, _, err := r.reg.Get(s.name)
@@ -326,7 +342,7 @@ func (r *Refresher) retrain(s *modelStream, triggerTraceID string) {
 			return errors.New("empty observation window")
 		}
 		opts := active.Opts
-		opts.Workers = r.opts.TrainWorkers
+		opts.Workers = r.trainWorkers
 		trainSpan := root.StartChild("train")
 		trainSpan.SetInt("window", int64(len(window)))
 		opts.OnStage = func(stage string, d time.Duration) {
@@ -509,7 +525,6 @@ func (r *Refresher) collect(e *obs.Expo) {
 		e.Counter("eip_ingest_observed_total", "Addresses offered to the model's window.", float64(st.Observed), "model", s.name)
 		e.Counter("eip_ingest_cap_displacements_total", "Same-/64 window entries displaced early by the per-/64 cap.", float64(st.Deduped), "model", s.name)
 		e.Counter("eip_ingest_evictions_total", "Window slots overwritten by newer observations.", float64(st.Evicted), "model", s.name)
-		e.Counter("eip_ingest_reservoir_replacements_total", "Long-horizon reservoir slots replaced by algorithm R.", float64(st.ReservoirReplaced), "model", s.name)
 
 		s.mu.Lock()
 		evals := s.evaluations

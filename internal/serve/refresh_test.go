@@ -73,7 +73,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 		Refresh: RefreshOptions{
 			AutoRefresh:   true,
 			EvaluateEvery: 512,
-			Ingest:        ingest.Config{WindowSize: 4096, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 4096},
 			Drift:         drift.Config{Enter: 0.15, Consecutive: 2, MinWindow: 256},
 			OnEvent: func(model, event, detail string) {
 				evmu.Lock()
@@ -312,7 +312,7 @@ func TestRefreshShadowRejection(t *testing.T) {
 		Refresh: RefreshOptions{
 			AutoRefresh:   true,
 			EvaluateEvery: 256,
-			Ingest:        ingest.Config{WindowSize: 2048, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 2048},
 			// Enter=0 would be replaced by the default; use a tiny value
 			// so in-distribution noise trips the detector immediately.
 			Drift: drift.Config{Enter: 1e-9, Consecutive: 1, MinWindow: 64},
@@ -350,6 +350,70 @@ func TestRefreshShadowRejection(t *testing.T) {
 	}
 }
 
+// TestRefreshRetrainPanicIsFailedRetrain makes the retrain's build
+// panic: the process survives, the retrain ends as a failed one that is
+// counted in eip_http_panics_total and clears Retraining, and the next
+// drifting evaluation starts a retrain again.
+func TestRefreshRetrainPanicIsFailedRetrain(t *testing.T) {
+	p := refreshPlan([]uint64{0x0001, 0x0002}, []float64{0.7, 0.3})
+	failed := make(chan string, 4)
+	s, reg := newTestServer(t, Options{
+		Workers: 1,
+		Refresh: RefreshOptions{
+			AutoRefresh:   true,
+			EvaluateEvery: 256,
+			Ingest:        ingest.Config{WindowSize: 2048},
+			// In-distribution noise trips the detector immediately.
+			Drift: drift.Config{Enter: 1e-9, Consecutive: 1, MinWindow: 64},
+			OnEvent: func(model, event, detail string) {
+				if event == "retrain-failed" {
+					failed <- detail
+				}
+			},
+		},
+	})
+	if _, err := reg.Put("m", buildOn(t, p, 3000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	r := s.Refresher()
+	r.stage = func(string, time.Duration) { panic("stage exploded") }
+	waitFailed := func() {
+		t.Helper()
+		select {
+		case detail := <-failed:
+			if !strings.Contains(detail, "stage exploded") {
+				t.Errorf("retrain-failed detail %q lacks the panic value", detail)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("no retrain-failed event")
+		}
+	}
+	traffic := rand.New(rand.NewSource(9))
+	if _, err := r.Observe(context.Background(), "m", p.Generate(traffic, 512)); err != nil {
+		t.Fatal(err)
+	}
+	waitFailed()
+	st, _ := r.Status("m")
+	if st.Retraining || !strings.Contains(st.LastError, "stage exploded") {
+		t.Errorf("status after the panic = %+v, want not retraining and the panic in LastError", st)
+	}
+	if got := s.metrics.Snapshot().Panics; got != 1 {
+		t.Errorf("Panics = %d, want 1", got)
+	}
+
+	v, err := r.Evaluate(context.Background(), "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Drifting {
+		t.Fatalf("verdict = %+v, want drifting", v)
+	}
+	waitFailed()
+	if got := s.metrics.Snapshot().Panics; got != 2 {
+		t.Errorf("Panics = %d after the second retrain, want 2", got)
+	}
+}
+
 // TestRefreshNoAutoRefreshOnlyReports checks the default posture: drift is
 // scored and reported but nothing retrains.
 func TestRefreshNoAutoRefreshOnlyReports(t *testing.T) {
@@ -358,7 +422,7 @@ func TestRefreshNoAutoRefreshOnlyReports(t *testing.T) {
 	s, reg := newTestServer(t, Options{
 		Refresh: RefreshOptions{
 			EvaluateEvery: 256,
-			Ingest:        ingest.Config{WindowSize: 2048, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 2048},
 			Drift:         drift.Config{Enter: 0.15, Consecutive: 1, MinWindow: 64},
 		},
 	})
@@ -394,7 +458,7 @@ func TestRefreshEvaluateEveryBatching(t *testing.T) {
 	s, reg := newTestServer(t, Options{
 		Refresh: RefreshOptions{
 			EvaluateEvery: 100,
-			Ingest:        ingest.Config{WindowSize: 1024, Seed: 1},
+			Ingest:        ingest.Config{WindowSize: 1024},
 			Drift:         drift.Config{MinWindow: -1},
 		},
 	})
@@ -430,7 +494,7 @@ func TestRefreshEvaluateEveryBatching(t *testing.T) {
 func TestDeleteForgetsStream(t *testing.T) {
 	p := refreshPlan([]uint64{0x0001}, []float64{1})
 	s, reg := newTestServer(t, Options{Refresh: RefreshOptions{
-		Ingest: ingest.Config{WindowSize: 128, Seed: 1},
+		Ingest: ingest.Config{WindowSize: 128},
 	}})
 	if _, err := reg.Put("m", buildOn(t, p, 1500, 1)); err != nil {
 		t.Fatal(err)

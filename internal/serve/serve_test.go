@@ -35,7 +35,7 @@ func testAddrs(n int, seed int64) []ip6.Addr {
 	return out
 }
 
-func testModel(t *testing.T, seed int64) *core.Model {
+func testModel(t testing.TB, seed int64) *core.Model {
 	t.Helper()
 	m, err := core.Build(testAddrs(1500, seed), core.Options{})
 	if err != nil {
@@ -45,7 +45,7 @@ func testModel(t *testing.T, seed int64) *core.Model {
 }
 
 // newTestServer returns a Server over a fresh registry plus the registry.
-func newTestServer(t *testing.T, opts Options) (*Server, *registry.Registry) {
+func newTestServer(t testing.TB, opts Options) (*Server, *registry.Registry) {
 	t.Helper()
 	reg, err := registry.Open(t.TempDir(), 8)
 	if err != nil {

@@ -86,7 +86,8 @@ type Options struct {
 	// request does not ask for a specific value. Zero means all cores;
 	// deployments running several concurrent trainings (Workers > 1)
 	// typically set it to cores/Workers so jobs share the machine instead
-	// of oversubscribing it. The trained model is identical either way.
+	// of oversubscribing it. Drift-triggered retrains run with it too.
+	// The trained model is identical either way.
 	TrainWorkers int
 	// GenerateWorkers is the default per-request generation parallelism
 	// (core.GenerateOptions.Workers) when a generate request does not ask
@@ -197,10 +198,6 @@ type Server struct {
 // New returns a Server over the given registry.
 func New(reg *registry.Registry, opts Options) *Server {
 	pool := NewPool(opts.workers(), opts.queueDepth())
-	refreshOpts := opts.Refresh
-	if refreshOpts.TrainWorkers == 0 {
-		refreshOpts.TrainWorkers = opts.TrainWorkers
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = obs.NopLogger()
@@ -212,7 +209,7 @@ func New(reg *registry.Registry, opts Options) *Server {
 		opts:      opts,
 		pool:      pool,
 		metrics:   newMetrics(o),
-		refresher: NewRefresher(reg, pool, refreshOpts),
+		refresher: NewRefresher(reg, pool, opts.Refresh),
 		mux:       http.NewServeMux(),
 		obs:       o,
 		logger:    logger,
@@ -222,6 +219,7 @@ func New(reg *registry.Registry, opts Options) *Server {
 		draining:  make(chan struct{}),
 	}
 	s.refresher.tracer = s.tracer
+	s.refresher.trainWorkers = opts.TrainWorkers
 	s.registerObservability()
 	// Model routes go through the admission rate gate; health, metrics and
 	// introspection stay ungated so load balancers and operators observe
@@ -251,9 +249,6 @@ func (s *Server) Refresher() *Refresher { return s.refresher }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
-
-// Metrics exposes the server's request metrics (for the daemon's logs).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // handle registers an instrumented handler under a method+path pattern:
 // per-route counters and latency histogram (with trace exemplars), a
@@ -927,8 +922,8 @@ type ObserveResponse struct {
 }
 
 // observeBatchSize bounds how many parsed addresses accumulate before
-// being pushed into the buffer, so arbitrarily large NDJSON bodies stream
-// through bounded memory.
+// being pushed into the buffer, so arbitrarily large observe bodies
+// stream through bounded memory.
 const observeBatchSize = 4096
 
 // observeBatchPool reuses the fixed-size per-request parse batches of
@@ -945,14 +940,11 @@ var observeBatchPool = sync.Pool{
 }
 
 // handleObserve ingests observed addresses for a model. The body is
-// NDJSON: each line either an {"addr": "..."} object, a JSON string, or a
-// bare textual address (dataset file format) — so both API clients and
-// `curl --data-binary @addrs.txt` work. Lines are scanned as byte slices
-// (bare dataset-format lines, the traffic fast path, parse without any
-// per-line allocation; only JSON-framed lines pay encoding/json) and
-// streamed into the model's observation window in bounded batches; the
-// response reports accept/drop counts and the drift status after the
-// batch.
+// NDJSON by default, or the framed binary encoding when its Content-Type
+// says so; a decode function per encoding feeds the addresses in, and
+// everything else is shared: they stream into the model's observation
+// window in bounded batches, and the response reports accept counts and
+// the drift status after the last batch.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// Existence up front: a typoed model name must 404 whatever the body
@@ -962,25 +954,21 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeRegistryError(w, r, err)
 		return
 	}
+	enc, decode := encNDJSON, decodeObserveNDJSON
 	if isBinaryContentType(r.Header.Get("Content-Type")) {
-		s.encRequests[routeObserve][encBinary].Add(1)
-		w.Header().Set("X-Encoding", encBinary.String())
-		s.observeBinary(w, r, name)
-		return
+		enc, decode = encBinary, decodeObserveBinary
 	}
-	s.encRequests[routeObserve][encNDJSON].Add(1)
-	w.Header().Set("X-Encoding", encNDJSON.String())
+	s.encRequests[routeObserve][enc].Add(1)
+	w.Header().Set("X-Encoding", enc.String())
 	body := http.MaxBytesReader(w, r.Body, s.opts.maxBodyBytes())
-	scanner := bufio.NewScanner(body)
-	scanner.Buffer(make([]byte, 0, 64*1024), dataset.MaxLineBytes)
 
 	var out ObserveResponse
 	// Line-outcome counters for /metrics: accepted lines are added batch
-	// by batch in flush (so early error returns still count what entered
-	// the window); invalid lines are added once on the way out. The ingest
-	// span covers the whole scan — including any drift evaluation a batch
-	// trips, which appears as its child (the span rides the context into
-	// the refresher).
+	// by batch in observeFlush (so early error returns still count what
+	// entered the window); invalid lines are added once on the way out.
+	// The ingest span covers the whole decode — including any drift
+	// evaluation a batch trips, which appears as its child (the span
+	// rides the context into the refresher).
 	span := requestSpan(r.Context()).StartChild("observe.ingest")
 	ctx := trace.ContextWithSpan(r.Context(), span)
 	defer func() {
@@ -995,6 +983,39 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		*batchp = batch[:0]
 		observeBatchPool.Put(batchp)
 	}()
+	flushed := true
+	add := func(a ip6.Addr) bool {
+		batch = append(batch, a)
+		if len(batch) >= observeBatchSize {
+			flushed = s.observeFlush(ctx, w, r, name, &batch, &out)
+		}
+		return flushed
+	}
+	var err error
+	out.Invalid, err = decode(body, add)
+	switch {
+	case !flushed:
+		// The failed flush answered the request.
+	case err != nil:
+		writeBodyError(w, r, err)
+	case s.observeFlush(ctx, w, r, name, &batch, &out):
+		out.Drift, _ = s.refresher.Status(name)
+		writeJSON(w, http.StatusOK, out)
+	}
+}
+
+// decodeObserveNDJSON is the NDJSON observe decoder. Each line is an
+// {"addr": "..."} object, a JSON string, or a bare textual address
+// (dataset file format), so both API clients and `curl --data-binary
+// @addrs.txt` work. Lines are scanned as byte slices: bare dataset-format
+// lines, the traffic fast path, parse without any per-line allocation;
+// only JSON-framed lines pay encoding/json. Blank and # lines are
+// skipped; a line that fails to parse is counted in invalid and skipped,
+// since one bad line must not void a traffic batch. It stops when add
+// returns false.
+func decodeObserveNDJSON(body io.Reader, add func(ip6.Addr) bool) (invalid int, err error) {
+	scanner := bufio.NewScanner(body)
+	scanner.Buffer(make([]byte, 0, 64*1024), dataset.MaxLineBytes)
 	for scanner.Scan() {
 		line := bytes.TrimSpace(scanner.Bytes())
 		if len(line) == 0 || line[0] == '#' {
@@ -1006,12 +1027,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			var ol observeLine
 			//eip:alloc-ok observe ingest is the documented slow path; object lines are schema-flexible
 			if err := json.Unmarshal(line, &ol); err != nil || ol.Addr == "" {
-				out.Invalid++
+				invalid++
 				continue
 			}
 			addr, err := ip6.ParseAddr(ol.Addr)
 			if err != nil {
-				out.Invalid++
+				invalid++
 				continue
 			}
 			a = addr
@@ -1019,12 +1040,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			var raw string
 			//eip:alloc-ok bare-string lines need full JSON unescaping; same slow path
 			if err := json.Unmarshal(line, &raw); err != nil {
-				out.Invalid++
+				invalid++
 				continue
 			}
 			addr, err := ip6.ParseAddr(raw)
 			if err != nil {
-				out.Invalid++
+				invalid++
 				continue
 			}
 			a = addr
@@ -1034,7 +1055,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			// notation work identically over both feeds.
 			addr, ok, err := dataset.ParseLineBytes(line)
 			if err != nil {
-				out.Invalid++
+				invalid++
 				continue
 			}
 			if !ok {
@@ -1042,27 +1063,40 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			}
 			a = addr
 		}
-		batch = append(batch, a)
-		if len(batch) >= observeBatchSize {
-			if !s.observeFlush(ctx, w, r, name, &batch, &out) {
-				return
-			}
+		if !add(a) {
+			return invalid, nil
 		}
 	}
 	if err := scanner.Err(); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
+		return invalid, &bodyError{msg: "reading body", err: err}
+	}
+	return invalid, nil
+}
+
+// bodyError is a malformed request body: msg, then the cause if any.
+type bodyError struct {
+	msg string
+	err error
+}
+
+func (e *bodyError) Error() string {
+	if e.err == nil {
+		return e.msg
+	}
+	return e.msg + ": " + e.err.Error()
+}
+
+func (e *bodyError) Unwrap() error { return e.err }
+
+// writeBodyError answers a request body that could not be decoded: 413
+// when the size cap cut it off, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, r, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
 		return
 	}
-	if !s.observeFlush(ctx, w, r, name, &batch, &out) {
-		return
-	}
-	out.Drift, _ = s.refresher.Status(name)
-	writeJSON(w, http.StatusOK, out)
+	writeError(w, r, http.StatusBadRequest, "%v", err)
 }
 
 // handleDriftStatus reports the drift state of one model.
@@ -1150,12 +1184,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{
 		if err == io.EOF {
 			return true // empty body = all defaults
 		}
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-			return false
-		}
-		writeError(w, r, http.StatusBadRequest, "invalid JSON body: %v", err)
+		writeBodyError(w, r, &bodyError{msg: "invalid JSON body", err: err})
 		return false
 	}
 	return true

@@ -148,8 +148,6 @@ type GenerateOptions struct {
 	Prefixes bool
 	// Workers bounds the server-side generation parallelism.
 	Workers int
-	// Deprecated: ignored; every stream is ordered.
-	Unordered bool
 	// Binary selects the framed binary response encoding.
 	Binary bool
 }
